@@ -60,8 +60,6 @@ class CapacityReport:
     c1_results: tuple[C1Result, ...]
     q1_lower: int
     q1_upper: int
-    regularized_r: int
-    regularized_q: int
     regularized_c_directed: int
     notes: tuple[str, ...]
 
@@ -148,8 +146,6 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         c1_results=tuple(c1_results),
         q1_lower=q1_lower,
         q1_upper=q1_upper,
-        regularized_r=mc,
-        regularized_q=mc,
         regularized_c_directed=regularized_c,
         notes=tuple(notes),
     )
@@ -162,7 +158,6 @@ def _assert_orderings(report: CapacityReport):
         (report.q1_lower <= report.q1_upper, "q1_lower <= q1_upper"),
         (report.q1_upper <= report.mc, "q1_upper <= mc"),
         (report.r1_lower <= report.mc, "r1_lower <= mc"),
-        (report.regularized_r == report.mc, "regularized R == mc"),
     ]
     for r in report.c1_results:
         checks.append((r.c1 <= r.directed_mc, f"{r.name}: c1 <= directed mc"))
@@ -190,9 +185,10 @@ def report_to_obj(report: CapacityReport) -> dict:
             for r in report.c1_results
         ],
         "q1": {"lower": report.q1_lower, "upper": report.q1_upper},
+        # The regularized repeater and rank capacities both equal the min-cut.
         "regularized": {
-            "R": report.regularized_r,
-            "Q": report.regularized_q,
+            "R": report.mc,
+            "Q": report.mc,
             "C_directed": report.regularized_c_directed,
         },
         "notes": list(report.notes),

@@ -53,11 +53,46 @@ def _fail(code, message):
     return SystemExit(code)
 
 
+def _int_at_least(low):
+    """argparse ``type=``: an integer >= ``low``."""
+
+    def parse(text):
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+
+    return parse
+
+
+_positive, _non_negative = _int_at_least(1), _int_at_least(0)
+
+
+def _prime_field(text) -> PrimeField:
+    try:
+        return PrimeField(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _split_spec(text) -> SplitSpec:
+    try:
+        eid, a, b = text.split(":")
+        return SplitSpec(eid, int(a), int(b))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected EDGE:a:b, got {text!r}") from exc
+
+
 def _budget(args) -> int:
     env = os.environ.get("ENTCAP_BUDGET")
-    if env is not None:
-        return int(env)
-    return args.budget
+    if env is None:
+        return args.budget
+    try:
+        return _positive(env)
+    except argparse.ArgumentTypeError as exc:
+        raise _fail(EXIT_BAD_INPUT, f"error: ENTCAP_BUDGET: {exc}")
 
 
 def cmd_mincut(args) -> int:
@@ -69,9 +104,7 @@ def cmd_mincut(args) -> int:
 
 def cmd_rank(args) -> int:
     net = _read_network(args.file)
-    est = estimate_r1(
-        net, PrimeField(args.prime), trials=args.trials, seed=args.seed
-    )
+    est = estimate_r1(net, args.prime, trials=args.trials, seed=args.seed)
     _emit(
         {
             "r1_lower": est.r1_lower,
@@ -86,8 +119,10 @@ def cmd_rank(args) -> int:
 
 def cmd_c1(args) -> int:
     net = _read_network(args.file)
+    if args.shard_index >= args.shard_count:
+        raise _fail(EXIT_BAD_INPUT, "error: --shard-index must be below --shard-count")
     cfg = SearchConfig(
-        alphabet_size=max(args.l or 1, 1),
+        alphabet_size=args.l,
         budget=_budget(args),
         fix_source_bijection=args.fix_source_bijection,
         shard=(args.shard_index, args.shard_count),
@@ -150,11 +185,8 @@ def cmd_transform(args) -> int:
 
 def cmd_bounds(args) -> int:
     net = _read_network(args.file)
-    splits = []
-    for spec in args.split or ():
-        splits.append(SplitSpec(*_split_args(spec)))
     options = ReportOptions(
-        splits=tuple(splits),
+        splits=tuple(args.split or ()),
         rank_trials=args.trials,
         seed=args.seed,
         coding_budget=_budget(args),
@@ -167,11 +199,6 @@ def cmd_bounds(args) -> int:
         raise _fail(EXIT_FAIL, f"error: {exc}")
     _emit(report_to_obj(report))
     return EXIT_OK
-
-
-def _split_args(spec: str):
-    eid, a, b = spec.split(":")
-    return eid, int(a), int(b)
 
 
 def cmd_reproduce(args) -> int:
@@ -193,16 +220,17 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit with EXIT_BAD_INPUT and one ``error:`` line."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entcap",
         description="Exact capacities and bounds for entanglement networks.",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads; results are independent of this by construction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -212,19 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="randomized one-shot tensor-network capacity")
     p.add_argument("file")
-    p.add_argument("--prime", type=int, default=PrimeField().p)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--prime", type=_prime_field, default=PrimeField(), help="a prime below 2^31")
+    p.add_argument("--trials", type=_positive, default=3)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("c1", help="one-shot coding search on a directed acyclic network")
     p.add_argument("file")
-    p.add_argument("--l", type=int, default=None, help="alphabet size to test")
-    p.add_argument("--exact-up-to", type=int, default=None, help="scan for the largest achievable l")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--l", type=_positive, default=1, help="alphabet size to test")
+    p.add_argument("--exact-up-to", type=_positive, default=None, help="scan for the largest achievable l")
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--fix-source-bijection", action="store_true")
-    p.add_argument("--shard-index", type=int, default=0)
-    p.add_argument("--shard-count", type=int, default=1)
+    p.add_argument("--shard-index", type=_non_negative, default=0)
+    p.add_argument("--shard-count", type=_positive, default=1)
     p.set_defaults(func=cmd_c1)
 
     p = sub.add_parser("transform", help="apply split/power/scale/round to a network")
@@ -234,10 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="full capacity report with bound orderings")
     p.add_argument("file")
-    p.add_argument("--split", action="append", help="EDGE:a:b split variant (repeatable)")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--split", type=_split_spec, action="append", help="EDGE:a:b split variant (repeatable)"
+    )
+    p.add_argument("--trials", type=_positive, default=3)
+    p.add_argument("--seed", type=_non_negative, default=0)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     p.add_argument("--r1-exact", action="store_true", help="trust the rank estimate as exact")
     p.add_argument("--full-orientations", action="store_true")
     p.set_defaults(func=cmd_bounds)
@@ -245,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
     p.add_argument("--claim", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import islice, product
 from math import prod
+from typing import NamedTuple
 
 from .netmodel import (
     Network,
@@ -89,7 +91,8 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _check_directed(net: Network):
+def _check_directed(net: Network) -> list:
+    """Reject invalid, undirected or cyclic networks; returns the topological order."""
     errors = validate(net)
     if errors:
         raise NetworkError("; ".join(errors))
@@ -97,7 +100,7 @@ def _check_directed(net: Network):
         if not e.is_directed:
             raise NetworkError(f"edge {e.id} is undirected; orient the network first")
     try:
-        topological_order(net)
+        return topological_order(net)
     except NetworkError as exc:
         raise CyclicNetworkError(str(exc)) from exc
 
@@ -145,6 +148,65 @@ def _unflatten(idx, dims) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# The compiled forward pass
+# ---------------------------------------------------------------------------
+
+
+class _Step(NamedTuple):
+    vertex: str
+    ins: tuple  # (position, dim) of each visible in-edge, edge-id order
+    outs: tuple  # (position, dim) of each out-edge the vertex writes
+    codomain: int
+
+
+class _Plan(NamedTuple):
+    """A directed acyclic network compiled for :func:`_forward`; symbols
+    live in a list indexed by edge position, and edges no step writes carry 0."""
+
+    size: int
+    source: tuple  # positions of the source out-edges
+    sink: tuple  # positions of the sink in-edges
+    steps: tuple  # one _Step per computing vertex, topological order
+
+
+def _compile(net: Network, order: list, outs: dict) -> _Plan:
+    """Plan over the vertices of ``outs`` in ``order``, each writing ``outs[v]``."""
+    pos = {e.id: i for i, e in enumerate(net.edges)}
+
+    def at(edges):
+        return tuple((pos[e.id], e.dim) for e in edges)
+
+    steps = tuple(
+        _Step(v, at(visible_in_edges(net, v)), at(outs[v]), prod(e.dim for e in outs[v]))
+        for v in order
+        if v in outs
+    )
+    source = tuple(pos[e.id] for e in source_out_edges(net))
+    return _Plan(len(net.edges), source, tuple(pos[e.id] for e in sink_in_edges(net)), steps)
+
+
+def _forward(plan: _Plan, row, tables):
+    """Run the source symbol ``row`` through ``plan``, reading ``tables[v][idx]``.
+
+    Returns ``(sink_tuple, None)``, or ``(None, (v, idx, codomain))`` at
+    the first table entry that is still ``None``.
+    """
+    sym = [0] * plan.size
+    for pos, val in zip(plan.source, row):
+        sym[pos] = val
+    for v, ins, outs, codomain in plan.steps:
+        idx = 0
+        for pos, dim in ins:
+            idx = idx * dim + sym[pos]
+        out = tables[v][idx]
+        if out is None:
+            return None, (v, idx, codomain)
+        for pos, dim in reversed(outs):
+            out, sym[pos] = divmod(out, dim)
+    return tuple(sym[pos] for pos in plan.sink), None
+
+
+# ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------
 
@@ -172,6 +234,12 @@ def _check_protocol(net: Network, pt: ProtocolTable):
                 raise ProtocolError(f"table value {val} at {v!r} outside codomain")
 
 
+def _protocol_plan(net: Network, pt: ProtocolTable) -> _Plan:
+    order = _check_directed(net)
+    _check_protocol(net, pt)
+    return _compile(net, order, {v: out_edges(net, v) for v in net.internal_vertices})
+
+
 def simulate(net: Network, pt: ProtocolTable, message: int) -> tuple:
     """Run one message through the protocol; returns the sink symbol tuple.
 
@@ -179,38 +247,17 @@ def simulate(net: Network, pt: ProtocolTable, message: int) -> tuple:
     carry the constant 0 (nothing downstream of a sink can reach it again
     in an acyclic network).
     """
-    _check_directed(net)
-    _check_protocol(net, pt)
+    plan = _protocol_plan(net, pt)
     if not 0 <= message < pt.alphabet_size:
         raise ProtocolError(f"message {message} outside alphabet")
-    symbols = {}
-    for e, val in zip(source_out_edges(net), pt.source_encoder[message]):
-        symbols[e.id] = val
-    for e in net.edges:
-        if e.tail in net.sink_set:
-            symbols[e.id] = 0
-    internal = set(net.internal_vertices)
-    for v in topological_order(net):
-        if v not in internal:
-            continue
-        vis = visible_in_edges(net, v)
-        outs = out_edges(net, v)
-        idx = _flatten([symbols[e.id] for e in vis], [e.dim for e in vis])
-        out_vals = _unflatten(pt.node_functions[v][idx], [e.dim for e in outs])
-        for e, val in zip(outs, out_vals):
-            symbols[e.id] = val
-    return tuple(symbols[e.id] for e in sink_in_edges(net))
+    return _forward(plan, pt.source_encoder[message], pt.node_functions)[0]
 
 
 def is_valid(net: Network, pt: ProtocolTable) -> bool:
     """True iff message -> sink tuple is injective (a decoder exists)."""
-    seen = set()
-    for m in range(pt.alphabet_size):
-        t = simulate(net, pt, m)
-        if t in seen:
-            return False
-        seen.add(t)
-    return True
+    plan = _protocol_plan(net, pt)
+    tuples = {_forward(plan, row, pt.node_functions)[0] for row in pt.source_encoder}
+    return len(tuples) == pt.alphabet_size
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +271,14 @@ class _Budget(Exception):
 
 class _Searcher:
     def __init__(self, net: Network, cfg: SearchConfig):
-        _check_directed(net)
+        order = _check_directed(net)
         self.net = net
         self.cfg = cfg
         self.l = cfg.alphabet_size
         if self.l < 1:
             raise ValueError("alphabet size must be >= 1")
 
-        self.src_out = source_out_edges(net)
-        self.src_dims = [e.dim for e in self.src_out]
+        self.src_dims = [e.dim for e in source_out_edges(net)]
         self.P = prod(self.src_dims)
 
         succ = {v: set() for v in net.vertices}
@@ -256,48 +302,29 @@ class _Searcher:
         reach_t = closure(net.sink_set, pred)
         reach_s = closure(net.source_set, succ)
 
-        internal = set(net.internal_vertices)
-        # Vertices whose outputs are fixed to 0: they either see only
+        # Only live vertices compute, and only their outputs toward the
+        # sink; every other edge carries 0.  Dead vertices either see only
         # constants (unreachable from the source) or cannot influence the
         # sink; neither can help or hurt injectivity.
-        self.enum_order = []
-        self.visible = {}
-        self.enum_out = {}
-        order = topological_order(net)
-        for v in order:
-            if v not in internal or v not in reach_s or v not in reach_t:
-                continue
-            outs = [e for e in out_edges(net, v) if e.head in reach_t]
-            if not outs:
-                continue  # early stage feeding only its late partner
-            self.enum_order.append(v)
-            self.visible[v] = visible_in_edges(net, v)
-            self.enum_out[v] = outs
-        self.sink_in = sink_in_edges(net)
+        live = {}
+        for v in net.internal_vertices:
+            if v in reach_s and v in reach_t:
+                outs = [e for e in out_edges(net, v) if e.head in reach_t]
+                if outs:  # else an early stage feeding only its late partner
+                    live[v] = outs
+        self.plan = _compile(net, order, live)
 
-        zero = set()
-        for e in net.edges:
-            if e.tail in net.source_set or e.tail in net.sink_set:
-                continue
-            if e.tail not in self.enum_out or e not in self.enum_out[e.tail]:
-                zero.add(e.id)
-        for v in self.enum_order:
-            for e in self.enum_out[v]:
-                zero.discard(e.id)
-        self.zero_edges = zero
-
-        self.fixed_enc = None
-        if cfg.fix_source_bijection and self.l == self.P:
-            self.fixed_enc = [
-                _unflatten(m, self.src_dims) for m in range(self.l)
-            ]
+        fixed = cfg.fix_source_bijection and self.l == self.P
+        self.fixed_enc = list(self._source_rows()) if fixed else None
 
         est = 1 if self.fixed_enc is not None else self.P**self.l
-        for v in self.enum_order:
-            dom = prod(e.dim for e in self.visible[v])
-            cod = prod(e.dim for e in self.enum_out[v])
-            est *= cod**dom
+        for step in self.plan.steps:
+            est *= step.codomain ** prod(dim for _, dim in step.ins)
         self.space_estimate = est
+
+    def _source_rows(self):
+        """Every source symbol row, in row-major (flattened-index) order."""
+        return product(*(range(dim) for dim in self.src_dims))
 
     def run(self) -> SearchResult:
         if self.l > self.P:
@@ -310,8 +337,11 @@ class _Searcher:
             float(self.space_estimate),
         )
         self.assignments = 0
-        self.enc = [None] * self.l
-        self.tables = {v: {} for v in self.enum_order}
+        self.enc = self.fixed_enc or [None] * self.l
+        self.tables = {
+            step.vertex: [None] * prod(dim for _, dim in step.ins)
+            for step in self.plan.steps
+        }
         self.seen = set()
         self.witness = None
         self.shard_pending = self.cfg.shard[1] > 1
@@ -324,101 +354,68 @@ class _Searcher:
         status = "witness" if found else "impossible"
         return SearchResult(status, self.witness, self.assignments, self.space_estimate)
 
-    def _eval(self, m):
-        symbols = {}
-        if self.fixed_enc is not None:
-            row = self.fixed_enc[m]
-        else:
-            if self.enc[m] is None:
-                return ("need_enc", m, self.P)
-            row = _unflatten(self.enc[m], self.src_dims)
-        for e, val in zip(self.src_out, row):
-            symbols[e.id] = val
-        for eid in self.zero_edges:
-            symbols[eid] = 0
-        for v in self.enum_order:
-            vis = self.visible[v]
-            idx = _flatten(
-                [symbols.get(e.id, 0) for e in vis], [e.dim for e in vis]
-            )
-            out_idx = self.tables[v].get(idx)
-            if out_idx is None:
-                cod = prod(e.dim for e in self.enum_out[v])
-                return ("need_tab", (v, idx), cod)
-            outs = self.enum_out[v]
-            for e, val in zip(outs, _unflatten(out_idx, [e.dim for e in outs])):
-                symbols[e.id] = val
-        return ("tuple", tuple(symbols.get(e.id, 0) for e in self.sink_in), None)
-
-    def _choices(self, n):
-        if self.shard_pending:
-            self.shard_pending = False
+    def _choices(self, options):
+        """Yield the options to try, each counted against the budget; the
+        first branching point of a sharded search keeps only its share."""
+        sharded, self.shard_pending = self.shard_pending, False
+        if sharded:
             index, count = self.cfg.shard
-            return [c for c in range(n) if c % count == index], True
-        return range(n), False
+            options = islice(options, index, None, count)
+        for option in options:
+            self.assignments += 1
+            if self.assignments > self.cfg.budget:
+                raise _Budget
+            yield option
+        self.shard_pending = sharded
 
     def _extend(self, m) -> bool:
         if m == self.l:
             self.witness = self._build_witness()
             return True
-        kind, key, n = self._eval(m)
-        if kind == "tuple":
-            if key in self.seen:
+        if self.enc[m] is None:
+            for row in self._choices(self._source_rows()):
+                self.enc[m] = row
+                if self._extend(m):
+                    return True
+            self.enc[m] = None
+            return False
+        sinks, missing = _forward(self.plan, self.enc[m], self.tables)
+        if missing is None:
+            if sinks in self.seen:
                 return False
-            self.seen.add(key)
+            self.seen.add(sinks)
             if self._extend(m + 1):
                 return True
-            self.seen.remove(key)
+            self.seen.remove(sinks)
             return False
-        choices, was_first = self._choices(n)
-        for c in choices:
-            self.assignments += 1
-            if self.assignments > self.cfg.budget:
-                raise _Budget
-            if kind == "need_enc":
-                self.enc[key] = c
-            else:
-                v, idx = key
-                self.tables[v][idx] = c
+        v, idx, codomain = missing
+        table = self.tables[v]
+        for c in self._choices(range(codomain)):
+            table[idx] = c
             if self._extend(m):
                 return True
-            if kind == "need_enc":
-                self.enc[key] = None
-            else:
-                self.tables[v].pop(idx)
-        if was_first:
-            self.shard_pending = True
+        table[idx] = None
         return False
 
     def _build_witness(self) -> ProtocolTable:
-        if self.fixed_enc is not None:
-            encoder = tuple(self.fixed_enc)
-        else:
-            encoder = tuple(
-                _unflatten(v if v is not None else 0, self.src_dims)
-                for v in self.enc
-            )
-        node_functions = {}
-        for v in self.net.internal_vertices:
-            vis = visible_in_edges(self.net, v)
+        """Widen each live table to all out-edges; dead entries become 0."""
+        pos = {e.id: i for i, e in enumerate(self.net.edges)}
+        node_functions = {
+            v: (0,) * prod(e.dim for e in visible_in_edges(self.net, v))
+            for v in self.net.internal_vertices
+        }
+        for v, _, live_outs, _ in self.plan.steps:
             outs = out_edges(self.net, v)
-            dom = prod(e.dim for e in vis)
-            out_dims = [e.dim for e in outs]
+            positions, dims = zip(*live_outs)
             table = []
-            enum_outs = self.enum_out.get(v, [])
-            enum_pos = {e.id: i for i, e in enumerate(enum_outs)}
-            for idx in range(dom):
-                out_idx = self.tables.get(v, {}).get(idx, 0)
-                enum_vals = _unflatten(out_idx, [e.dim for e in enum_outs])
-                full = [
-                    enum_vals[enum_pos[e.id]] if e.id in enum_pos else 0
-                    for e in outs
-                ]
-                table.append(_flatten(full, out_dims))
+            for out_idx in self.tables[v]:
+                val = dict(zip(positions, _unflatten(out_idx or 0, dims)))
+                full = [val.get(pos[e.id], 0) for e in outs]
+                table.append(_flatten(full, [e.dim for e in outs]))
             node_functions[v] = tuple(table)
         return ProtocolTable(
             alphabet_size=self.l,
-            source_encoder=encoder,
+            source_encoder=tuple(self.enc),
             node_functions=node_functions,
         )
 

@@ -73,10 +73,6 @@ def fixture(name: str) -> Network:
     return load_network(fixture_text(name))
 
 
-def catalog() -> dict[str, Network]:
-    return {name: fixture(name) for name in FIXTURE_NAMES}
-
-
 def r1_witness_n2() -> tuple[Network, TensorAssignment]:
     """The stored max-rank tensor assignment certifying rank 6 on n_d5_2."""
     obj = json.loads(fixture_text(R1_WITNESS_NAME))

@@ -49,13 +49,21 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field of ``p`` elements; the exact-arithmetic substrate for ranks."""
+    """The field of ``p`` elements; the exact-arithmetic substrate for ranks.
+
+    ``p`` must be a prime below 2^31, else ``ValueError``: elimination
+    multiplies two residues in int64, and (p - 1)^2 < 2^62 keeps that
+    product exact.  A larger prime would overflow silently and could
+    report a rank above the true one.
+    """
 
     p: int = MERSENNE_31
 
     def __post_init__(self):
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
+        if self.p >= 2**31:
+            raise ValueError(f"prime {self.p} is not below 2^31")
 
 
 def tensor_axes(net: Network, vertex: str) -> list:

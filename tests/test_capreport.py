@@ -34,7 +34,8 @@ class TestBoundsReport:
         assert report.mc == 2
         assert report.r1_lower == 2
         assert (report.q1_lower, report.q1_upper) == (2, 2)
-        assert report.regularized_r == report.regularized_q == 2
+        regularized = report_to_obj(report)["regularized"]
+        assert regularized["R"] == regularized["Q"] == 2
 
     # The counterexample's coding scans are deliberately budget-limited:
     # its alphabet runs to 15 and exhausting that space is out of desk scale.
@@ -128,7 +129,7 @@ class TestOrderings:
         report = bounds_report(fixture(name))
         assert report.q1_lower <= report.q1_upper <= report.mc
         assert report.r1_lower <= report.mc
-        assert report.regularized_r == report.mc
+        assert report_to_obj(report)["regularized"]["R"] == report.mc
 
     def test_extra_notes_propagate(self):
         report = bounds_report(

@@ -83,8 +83,9 @@ class TestRank:
         assert out1 == out2
 
     def test_composite_prime_rejected(self, capsys, fixture_file):
-        with pytest.raises(ValueError):
-            main(["rank", fixture_file("path_2_3"), "--prime", "100"])
+        code, _, err = run(capsys, ["rank", fixture_file("path_2_3"), "--prime", "100"])
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error:")
 
 
 class TestC1:
@@ -201,11 +202,40 @@ class TestBounds:
         assert code == EXIT_OK
         assert json.loads(out)["q1"] == {"lower": 5, "upper": 6}
 
-    def test_threads_flag_does_not_change_output(self, capsys, fixture_file):
-        path = fixture_file("path_2_3")
-        _, out1, _ = run(capsys, ["bounds", path])
-        _, out2, _ = run(capsys, ["--threads", "4", "bounds", path])
-        assert out1 == out2
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize(
+        "command, name, args",
+        [
+            ("rank", "path_2_3", "--trials 0"),
+            ("rank", "path_2_3", "--prime 9"),
+            ("rank", "fig2_counterexample", "--prime 4294967311"),
+            ("rank", "fig2_counterexample", "--prime 2305843009213693951"),
+            ("rank", "path_2_3", "--seed -1"),
+            ("bounds", "n_d5_4", "--split d5:x"),
+            ("bounds", "path_2_3", "--trials 0"),
+            ("c1", "n2_up", "--l 0"),
+            ("c1", "n2_up", "--l -3"),
+            ("c1", "n2_up", "--budget 0"),
+            ("c1", "n2_up", "--shard-index 2 --shard-count 2"),
+            ("c1", "n2_up", "--exact-up-to 0"),
+            ("reproduce", None, "--budget x"),
+        ],
+    )
+    def test_exit_2_with_one_error_line(self, capsys, fixture_file, command, name, args):
+        files = [fixture_file(name)] if name else []
+        code, out, err = run(capsys, [command, *files, *args.split()])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_budget_env(self, capsys, fixture_file, monkeypatch, value):
+        monkeypatch.setenv("ENTCAP_BUDGET", value)
+        code, _, err = run(capsys, ["c1", fixture_file("n2_up"), "--l", "2"])
+        assert code == EXIT_BAD_INPUT
+        assert err.startswith("error: ENTCAP_BUDGET")
 
 
 class TestReproduce:

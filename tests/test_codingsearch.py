@@ -124,6 +124,45 @@ class TestExhaustiveSearch:
         assert a.witness == b.witness
         assert a.assignments == b.assignments
 
+    # (status, assignments, space_estimate, witness) of the lazy enumeration,
+    # recorded once; any change to the enumeration order shows here.
+    N2_L5_WITNESS = {
+        "l": 5,
+        "source": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]],
+        "nodes": {
+            "n1_early": {"table": [0, 0]},
+            "n1_late": {"table": [0, 1, 2, 0]},
+            "n2_early": {"table": [0, 0, 1]},
+            "n2_late": {"table": [0, 1, 0]},
+        },
+    }
+    N4_L6_WITNESS = {
+        "l": 6,
+        "source": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]],
+        "nodes": {
+            "n1_early": {"table": [0, 1]},
+            "n1_late": {"table": [0, 1, 2, 1]},
+            "n2_early": {"table": [0, 0, 1]},
+            "n2_late": {"table": [0, 0, 1, 1, 0, 1]},
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "name, l, fix, expected",
+        [
+            ("n2_up", 5, False, ("witness", 35, 40310784, N2_L5_WITNESS)),
+            ("n2_up", 6, True, ("impossible", 1773, 5184, None)),
+            ("n4_split_2x2", 6, True, ("witness", 42, 165888, N4_L6_WITNESS)),
+            ("n4_split_2x2", 6, False, ("witness", 109, 7739670528, N4_L6_WITNESS)),
+        ],
+    )
+    def test_pinned_enumeration(self, name, l, fix, expected):
+        res = exhaustive_achievable(
+            fixture(name), SearchConfig(alphabet_size=l, fix_source_bijection=fix)
+        )
+        witness = protocol_to_obj(res.witness) if res.witness else None
+        assert (res.status, res.assignments, res.space_estimate, witness) == expected
+
     def test_l1_always_achievable(self):
         net = oriented_path(2, 3)
         res = exhaustive_achievable(net, SearchConfig(alphabet_size=1))

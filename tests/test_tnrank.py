@@ -44,6 +44,13 @@ class TestPrimeField:
         with pytest.raises(ValueError):
             PrimeField(p)
 
+    @pytest.mark.parametrize("p", [4294967311, 2**61 - 1])
+    def test_rejects_primes_from_2_31(self, p):
+        # int64 elimination overflowed over these primes and certified
+        # R1(fig2) >= 15, above its true value 14.
+        with pytest.raises(ValueError, match="below 2\\^31"):
+            PrimeField(p)
+
 
 class TestRandomAssignment:
     def test_deterministic(self):
