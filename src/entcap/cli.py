@@ -86,9 +86,12 @@ def _split_spec(text) -> SplitSpec:
 
 
 def _budget(args) -> int:
+    """``--budget`` if given, else ``ENTCAP_BUDGET`` if set, else the default."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("ENTCAP_BUDGET")
     if env is None:
-        return args.budget
+        return DEFAULT_BUDGET
     try:
         return _positive(env)
     except argparse.ArgumentTypeError as exc:
@@ -220,6 +223,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
+_BUDGET_HELP = f"coding search assignment budget (default: ENTCAP_BUDGET, else {DEFAULT_BUDGET})"
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit with EXIT_BAD_INPUT and one ``error:`` line."""
 
@@ -249,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--l", type=_positive, default=1, help="alphabet size to test")
     p.add_argument("--exact-up-to", type=_positive, default=None, help="scan for the largest achievable l")
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
     p.add_argument("--fix-source-bijection", action="store_true")
     p.add_argument("--shard-index", type=_non_negative, default=0)
     p.add_argument("--shard-count", type=_positive, default=1)
@@ -267,15 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
     p.add_argument("--r1-exact", action="store_true", help="trust the rank estimate as exact")
     p.add_argument("--full-orientations", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
     p.add_argument("--claim", default=None)
-    p.add_argument("--all", action="store_true")
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_reproduce)
 

@@ -25,7 +25,7 @@ class NetworkError(ValueError):
 
 
 class TooLargeError(NetworkError):
-    """Cut enumeration would exceed the partition limit."""
+    """A computation would exceed a fixed size limit (cut partitions, array entries)."""
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,15 @@ def network_to_obj(net: Network) -> dict:
     return obj
 
 
+def _names(value, what: str) -> list:
+    """A JSON list of strings (vertex or terminal ids), else NetworkError."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise NetworkError(f"{what} must be a list of strings")
+    return value
+
+
 def network_from_obj(obj: dict) -> Network:
+    """The network a parsed JSON value describes, else :class:`NetworkError`."""
     if not isinstance(obj, dict):
         raise NetworkError("network JSON must be an object")
     unknown = set(obj) - _NET_KEYS
@@ -387,14 +395,20 @@ def network_from_obj(obj: dict) -> Network:
     for key in ("vertices", "sources", "sinks", "edges"):
         if key not in obj:
             raise NetworkError(f"missing network field {key!r}")
+    if not isinstance(obj["edges"], list):
+        raise NetworkError("edges must be a list of objects")
     edges = []
     for eobj in obj["edges"]:
+        if not isinstance(eobj, dict):
+            raise NetworkError("edges must be a list of objects")
         unknown = set(eobj) - _EDGE_KEYS
         if unknown:
             raise NetworkError(f"unknown edge fields: {sorted(unknown)}")
         for key in ("id", "u", "v", "dim"):
             if key not in eobj:
                 raise NetworkError(f"edge missing field {key!r}")
+        if not all(isinstance(eobj[key], str) for key in ("id", "u", "v")):
+            raise NetworkError("edge id, u and v must be strings")
         if not isinstance(eobj["dim"], int) or isinstance(eobj["dim"], bool):
             raise NetworkError(f"edge {eobj['id']}: dim must be an integer")
         edges.append(
@@ -406,12 +420,17 @@ def network_from_obj(obj: dict) -> Network:
                 orientation=eobj.get("orientation", "undirected"),
             )
         )
+    pairs = obj.get("stage_pairs", [])
+    if not isinstance(pairs, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in pairs
+    ):
+        raise NetworkError("stage_pairs must be a list of [early, late] pairs")
     return network(
-        obj["vertices"],
+        _names(obj["vertices"], "vertices"),
         edges,
-        obj["sources"],
-        obj["sinks"],
-        obj.get("stage_pairs", ()),
+        _names(obj["sources"], "sources"),
+        _names(obj["sinks"], "sinks"),
+        [_names(pair, "a stage pair") for pair in pairs],
     )
 
 

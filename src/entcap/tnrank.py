@@ -18,9 +18,13 @@ from math import prod
 
 import numpy as np
 
-from .netmodel import Network, incident_edges, min_cut, validate, NetworkError
+from .netmodel import Network, NetworkError, TooLargeError, incident_edges, min_cut, validate
 
 MERSENNE_31 = 2**31 - 1
+
+#: The most entries any one array of :func:`contract` may have: an input
+#: tensor, an intermediate or the boundary matrix (2^24 int64 entries are 128 MiB).
+MAX_ENTRIES = 2**24
 
 
 def _is_prime(n: int) -> bool:
@@ -126,17 +130,8 @@ def _boundary_slots(net: Network, terminals) -> list:
     return slots
 
 
-def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
-    """Contract all internal edges, producing the source-to-sink matrix mod p.
-
-    Direct summation over internal edge configurations; edges between two
-    boundary vertices contribute identity wiring.  Complexity is
-    O(rows * cols * prod(internal dims)), fine at desk scale.
-    """
-    p = ta.field.p
-    terminal = net.terminal_set
-    internal = list(net.internal_vertices)
-    for v in internal:
+def _check_assignment(net: Network, ta: TensorAssignment) -> None:
+    for v in net.internal_vertices:
         if v not in ta.tensors:
             raise NetworkError(f"assignment missing tensor for vertex {v!r}")
         expected = tuple(e.dim for e in tensor_axes(net, v))
@@ -144,6 +139,203 @@ def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
             raise NetworkError(
                 f"tensor at {v!r} has shape {ta.tensors[v].shape}, expected {expected}"
             )
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Exact ``a @ b mod p`` for int64 matrices of residues in [0, p), p < 2^31.
+
+    Each residue splits into 16-bit limbs, x = hi * 2^16 + lo, so every
+    int64 limb product is below 2^32 and the two cross sums together stay
+    below 2^63 while the inner dimension k is below 2^30.  Partial results
+    are reduced in place, so at most three arrays of the output's size
+    are alive at once.
+    """
+    k = a.shape[1]
+    if k >= 2**30:
+        raise ValueError(f"inner dimension {k} is not below 2^30")
+    a_lo, a_hi, b_lo, b_hi = a & 0xFFFF, a >> 16, b & 0xFFFF, b >> 16
+    out = a_hi @ b_hi
+    out %= p
+    out *= 2**32 % p
+    mid = a_lo @ b_hi
+    mid += a_hi @ b_lo
+    mid %= p
+    mid <<= 16
+    out += mid
+    del mid
+    lo = a_lo @ b_lo
+    lo %= p
+    out += lo
+    out %= p
+    return out
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """How :func:`contract` multiplies a network's tensors, fixed by shapes alone.
+
+    Factors are the internal vertices' tensors (``vertices``, with the
+    axis pairs of their self-loops traced out) followed by one identity
+    matrix per edge between two terminals (``identities``).  An axis is
+    labelled by its edge id when the edge joins two internal vertices,
+    and by its boundary slot, ``("row", i)`` or ``("col", j)``, when it
+    reaches a terminal.  ``steps`` merge two live factors into a new one
+    appended at the end; the last factor's labels are permuted into
+    ``slots`` order.
+    """
+
+    vertices: tuple  # (vertex id, self-loop axis positions, labels after tracing)
+    identities: tuple  # (dim, (slot label, slot label))
+    steps: tuple  # (i, j) factor index pairs
+    slots: tuple  # row slot labels, then column slot labels
+    rows: int
+    cols: int
+
+
+def _check_entries(what: str, n: int) -> None:
+    if n > MAX_ENTRIES:
+        raise TooLargeError(f"{what} would have {n} entries, above the limit {MAX_ENTRIES}")
+
+
+def _plan_contraction(net: Network) -> _Plan:
+    """Greedy pairwise order, and the size guard for every array it makes.
+
+    Among live factors that share a label, the pair whose product has the
+    fewest entries merges first; factors sharing none merge last, by outer
+    products.  Raises :class:`TooLargeError` if an input tensor, an
+    intermediate or the boundary matrix would exceed ``MAX_ENTRIES``.
+    """
+    terminal = net.terminal_set
+    row_slots = _boundary_slots(net, net.source_set)
+    col_slots = _boundary_slots(net, net.sink_set)
+    rows = prod(e.dim for e in row_slots)
+    cols = prod(e.dim for e in col_slots)
+    _check_entries("the boundary matrix", rows * cols)
+    slot_labels = {}  # edge id -> labels of its boundary slots
+    for kind, slots in (("row", row_slots), ("col", col_slots)):
+        for i, e in enumerate(slots):
+            slot_labels.setdefault(e.id, []).append((kind, i))
+    dims = {}
+    for e in net.edges:
+        dims[e.id] = e.dim
+        for label in slot_labels.get(e.id, ()):
+            dims[label] = e.dim
+
+    vertices, labels = [], []
+    for v in net.internal_vertices:
+        axes = tensor_axes(net, v)
+        _check_entries(f"the tensor at {v!r}", prod(e.dim for e in axes))
+        loops = tuple(
+            i for i in range(len(axes) - 1) if axes[i].is_self_loop and axes[i] is axes[i + 1]
+        )
+        kept = tuple(
+            e.id if e.other(v) not in terminal else slot_labels[e.id][0]
+            for e in axes
+            if not e.is_self_loop
+        )
+        vertices.append((v, loops, kept))
+        labels.append(kept)
+    identities = []
+    for e in net.edges:
+        if e.u in terminal and e.v in terminal and not e.is_self_loop:
+            identities.append((e.dim, tuple(slot_labels[e.id])))
+            labels.append(tuple(slot_labels[e.id]))
+
+    steps = []
+    live = dict(enumerate(labels))
+    while len(live) > 1:
+        best = None
+        for i, j in itertools.combinations(live, 2):
+            shared = set(live[i]) & set(live[j])
+            merged = tuple(x for x in live[i] + live[j] if x not in shared)
+            key = (not shared, prod(dims[x] for x in merged), i, j)
+            if best is None or key < best[0]:
+                best = (key, merged)
+        (_, size, i, j), merged = best
+        _check_entries("an intermediate tensor", size)
+        steps.append((i, j))
+        del live[i], live[j]
+        live[len(labels)] = merged
+        labels.append(merged)
+    return _Plan(
+        vertices=tuple(vertices),
+        identities=tuple(identities),
+        steps=tuple(steps),
+        slots=tuple(("row", i) for i in range(len(row_slots)))
+        + tuple(("col", j) for j in range(len(col_slots))),
+        rows=rows,
+        cols=cols,
+    )
+
+
+def _merge(a: np.ndarray, la: tuple, b: np.ndarray, lb: tuple, p: int):
+    """Contract two labelled tensors over their shared labels through :func:`matmul_mod`."""
+    shared = [x for x in la if x in lb]
+    free_a = [x for x in la if x not in shared]
+    free_b = [x for x in lb if x not in shared]
+    k = prod(a.shape[la.index(x)] for x in shared)
+    left = a.transpose([la.index(x) for x in free_a + shared]).reshape(-1, k)
+    right = b.transpose([lb.index(x) for x in shared + free_b]).reshape(k, -1)
+    shape = [a.shape[la.index(x)] for x in free_a] + [b.shape[lb.index(x)] for x in free_b]
+    return matmul_mod(left, right, p).reshape(shape), tuple(free_a + free_b)
+
+
+def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
+    """Contract all internal edges, producing the source-to-sink matrix mod p.
+
+    Each tensor is reduced mod p and its self-loops traced; tensors then
+    merge pairwise along shared edges in a greedy order fixed by the
+    shapes (:func:`_plan_contraction`), every product going through
+    :func:`matmul_mod`.  Edges between two terminals are identity
+    wiring.  Rows and columns index the boundary slots as in
+    :func:`contract_reference`, which gives the same matrix.
+
+    Raises:
+        TooLargeError: a tensor, an intermediate or the boundary matrix
+            would exceed ``MAX_ENTRIES``, checked before any allocation.
+        NetworkError: a tensor is missing or has the wrong shape.
+    """
+    _check_assignment(net, ta)
+    plan = _plan_contraction(net)
+    p = ta.field.p
+    factors, labels = [], []
+    for v, loops, kept in plan.vertices:
+        t = ta.tensors[v] % p
+        for i in reversed(loops):
+            t = np.trace(t, axis1=i, axis2=i + 1) % p
+        factors.append(t.astype(np.int64, copy=False))
+        labels.append(kept)
+    for dim, pair in plan.identities:
+        factors.append(np.eye(dim, dtype=np.int64))
+        labels.append(pair)
+    for i, j in plan.steps:
+        t, merged = _merge(factors[i], labels[i], factors[j], labels[j], p)
+        factors[i] = factors[j] = None
+        factors.append(t)
+        labels.append(merged)
+    if factors:
+        out, final = factors[-1], labels[-1]
+        out = out.transpose([final.index(x) for x in plan.slots])
+    else:
+        out = np.ones((), dtype=np.int64)
+    return BoundaryMatrix(
+        field=ta.field,
+        matrix=np.ascontiguousarray(out.reshape(plan.rows, plan.cols)),
+        row_edge_ids=tuple(e.id for e in _boundary_slots(net, net.source_set)),
+        col_edge_ids=tuple(e.id for e in _boundary_slots(net, net.sink_set)),
+    )
+
+
+def contract_reference(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
+    """:func:`contract` by direct summation over internal edge configurations.
+
+    O(rows * cols * prod(internal dims)) Python-level steps: kept only as
+    the test oracle for :func:`contract`.
+    """
+    p = ta.field.p
+    terminal = net.terminal_set
+    internal = list(net.internal_vertices)
+    _check_assignment(net, ta)
 
     row_slots = _boundary_slots(net, net.source_set)
     col_slots = _boundary_slots(net, net.sink_set)
@@ -234,7 +426,8 @@ def rank_mod_p(m: BoundaryMatrix) -> int:
 class R1Estimate:
     """Randomized lower bound on the one-shot tensor-network capacity.
 
-    ``r1_lower`` is certified (a witness assignment exists); the
+    ``r1_lower`` is certified: the assignment drawn from ``witness_seed``
+    reaches it, and :attr:`witness` redraws that assignment.  The
     ``failure_bound`` only qualifies the claim that it equals the true
     maximal rank.
     """
@@ -243,8 +436,13 @@ class R1Estimate:
     mc_upper: int
     failure_bound: Fraction
     trials: int
-    witness: TensorAssignment
     witness_seed: int
+    net: Network
+    field: PrimeField
+
+    @property
+    def witness(self) -> TensorAssignment:
+        return random_assignment(self.net, self.field, self.witness_seed)
 
 
 def _trial_seed(seed: int, trial: int) -> int:
@@ -263,6 +461,10 @@ def estimate_r1(
     The per-trial failure probability of missing the generic rank is
     bounded Schwartz-Zippel style by D/p with D = (max possible rank)
     times the number of internal tensor entries.
+
+    Raises:
+        TooLargeError: :func:`contract` would exceed ``MAX_ENTRIES``,
+            checked before any tensor is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -270,27 +472,24 @@ def estimate_r1(
     if errors:
         raise NetworkError("; ".join(errors))
     mc = min_cut(net).value
-    best_rank = -1
-    best = None
-    best_seed = 0
+    plan = _plan_contraction(net)
+    best_rank, best_seed = -1, 0
     for t in range(trials):
         s = _trial_seed(seed, t)
-        ta = random_assignment(net, field, s)
-        r = rank_mod_p(contract(net, ta))
+        r = rank_mod_p(contract(net, random_assignment(net, field, s)))
         if r > best_rank:
-            best_rank, best, best_seed = r, ta, s
-    rows = prod(e.dim for e in _boundary_slots(net, net.source_set))
-    cols = prod(e.dim for e in _boundary_slots(net, net.sink_set))
-    n_entries = sum(int(np.prod(t.shape)) for t in best.tensors.values())
-    degree = min(rows, cols) * max(n_entries, 1)
+            best_rank, best_seed = r, s
+    n_entries = sum(prod(e.dim for e in tensor_axes(net, v)) for v in net.internal_vertices)
+    degree = min(plan.rows, plan.cols) * max(n_entries, 1)
     per_trial = min(Fraction(1), Fraction(degree, field.p))
     return R1Estimate(
         r1_lower=best_rank,
         mc_upper=mc,
         failure_bound=per_trial**trials,
         trials=trials,
-        witness=best,
         witness_seed=best_seed,
+        net=net,
+        field=field,
     )
 
 

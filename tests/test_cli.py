@@ -3,7 +3,8 @@ import json
 import pytest
 
 from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, main
-from entcap.fixtures import fixture_text
+from entcap.fixtures import fixture, fixture_text
+from entcap.netmodel import dump_network, tensor_power
 
 
 @pytest.fixture
@@ -130,6 +131,24 @@ class TestC1:
         )
         assert code == EXIT_BUDGET
 
+    def test_budget_flag_beats_env(self, capsys, fixture_file, monkeypatch):
+        # The env budget alone would stop this 42-assignment search.
+        monkeypatch.setenv("ENTCAP_BUDGET", "3")
+        code, out, _ = run(
+            capsys,
+            [
+                "c1",
+                fixture_file("n4_split_2x2"),
+                "--l",
+                "6",
+                "--budget",
+                "1000",
+                "--fix-source-bijection",
+            ],
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["assignments"] == 42
+
     def test_undirected_input_rejected(self, capsys, fixture_file):
         code, _, err = run(capsys, ["c1", fixture_file("n_d5_2"), "--l", "2"])
         assert code == EXIT_BAD_INPUT
@@ -221,6 +240,7 @@ class TestBadArguments:
             ("c1", "n2_up", "--shard-index 2 --shard-count 2"),
             ("c1", "n2_up", "--exact-up-to 0"),
             ("reproduce", None, "--budget x"),
+            ("reproduce", None, "--all"),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, fixture_file, command, name, args):
@@ -236,6 +256,30 @@ class TestBadArguments:
         code, _, err = run(capsys, ["c1", fixture_file("n2_up"), "--l", "2"])
         assert code == EXIT_BAD_INPUT
         assert err.startswith("error: ENTCAP_BUDGET")
+
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("edges", 5), ("edges", [5]), ("stage_pairs", [["a"]]), ("vertices", "st")],
+    )
+    def test_malformed_network_file(self, capsys, tmp_path, key, value):
+        obj = json.loads(fixture_text("path_2_3"))
+        obj[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, ["mincut", str(path)])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_rank_refuses_oversize_network(self, capsys, tmp_path):
+        # fig2^6: node tensors of ~5.8 GB; refused before any is drawn.
+        path = tmp_path / "fig2_pow6.json"
+        path.write_text(dump_network(tensor_power(fixture("fig2_counterexample"), 6)))
+        code, out, err = run(capsys, ["rank", str(path)])
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestReproduce:

@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text, path_network
 from entcap.netmodel import (
     Edge,
+    Network,
     NetworkError,
     TooLargeError,
     all_bidirectional,
@@ -232,3 +234,65 @@ class TestJson:
         net = load_network(text)
         assert net.stage_pairs == (("n1_early", "n1_late"), ("n2_early", "n2_late"))
         assert dump_network(net) == text
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("edges", 5),
+            ("edges", [5]),
+            ("stage_pairs", [["a"]]),
+            ("vertices", "st"),
+            ("sources", [1]),
+            ("stage_pairs", "ab"),
+        ],
+    )
+    def test_malformed_field_rejected(self, key, value):
+        obj = json.loads(fixture_text("path_2_3"))
+        obj[key] = value
+        with pytest.raises(NetworkError, match="must be"):
+            load_network(json.dumps(obj))
+
+    def test_non_string_edge_endpoint_rejected(self):
+        obj = json.loads(fixture_text("path_2_3"))
+        obj["edges"][0]["u"] = 0
+        with pytest.raises(NetworkError, match="must be strings"):
+            load_network(json.dumps(obj))
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["s", "t", "n1", "e", "uv", ""]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "u", "v", "dim", "x"]), inner, max_size=4),
+    max_leaves=10,
+)
+_edge_like = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": _json,
+        "u": st.sampled_from(["s", "t", "n1"]) | _json,
+        "v": st.sampled_from(["s", "t", "n1"]) | _json,
+        "dim": st.integers(-1, 3) | _json,
+        "orientation": st.sampled_from(["undirected", "uv", "vu", "up"]) | _json,
+    },
+)
+_names = st.lists(st.sampled_from(["s", "t", "n1"]), max_size=3) | _json
+_network_like = st.fixed_dictionaries(
+    {
+        "vertices": _names,
+        "sources": _names,
+        "sinks": _names,
+        "edges": st.lists(_edge_like, max_size=3) | _json,
+    },
+    optional={"stage_pairs": st.lists(_names, max_size=2) | _json},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json | _network_like)
+def test_any_json_gives_network_or_network_error(obj):
+    try:
+        net = load_network(json.dumps(obj))
+    except NetworkError:
+        return
+    assert isinstance(net, Network)

@@ -3,20 +3,35 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entcap.fixtures import diamond_network, fixture, path_network, r1_witness_n2
-from entcap.netmodel import Edge, NetworkError, network, scale
+from entcap.netmodel import (
+    Edge,
+    NetworkError,
+    TooLargeError,
+    network,
+    random_network,
+    scale,
+    tensor_power,
+)
 from entcap.tnrank import (
+    MAX_ENTRIES,
     BoundaryMatrix,
     PrimeField,
     TensorAssignment,
     contract,
+    contract_reference,
     embed_assignment,
     estimate_r1,
+    matmul_mod,
     random_assignment,
     rank_mod_p,
     tensor_axes,
 )
+from entcap.transforms import SplitSpec, split_cycle_edge
+
+PRIMES = [2, 101, 2**31 - 1]
 
 
 def delta_assignment(net, field=PrimeField()):
@@ -141,6 +156,133 @@ class TestContract:
             contract(net, TensorAssignment(PrimeField(), bad))
 
 
+class TestMatmulMod:
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (3, 5, 4), (2, 40_000, 3)])
+    def test_all_entries_p_minus_1(self, p, m, k, n):
+        a = np.full((m, k), p - 1, dtype=np.int64)
+        b = np.full((k, n), p - 1, dtype=np.int64)
+        expected = (p - 1) * (p - 1) * k % p
+        got = matmul_mod(a, b, p)
+        assert got.dtype == np.int64
+        assert got.tolist() == [[expected] * n] * m
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_against_python_ints(self, p):
+        rng = np.random.Generator(np.random.PCG64(p))
+        a = rng.integers(0, p, size=(7, 9), dtype=np.int64)
+        b = rng.integers(0, p, size=(9, 5), dtype=np.int64)
+        expected = [
+            [sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T]
+            for row in a
+        ]
+        assert matmul_mod(a, b, p).tolist() == expected
+
+    def test_inner_dimension_from_2_30_rejected(self):
+        # Zero strides: neither operand allocates its 2^30 entries.
+        a = np.broadcast_to(np.int64(1), (1, 2**30))
+        b = np.broadcast_to(np.int64(1), (2**30, 1))
+        with pytest.raises(ValueError, match="2\\^30"):
+            matmul_mod(a, b, 101)
+
+
+def _multigraph(draw):
+    """1-2 sources and sinks, 0-3 internal vertices, any edges (self-loops
+    and terminal-terminal edges included), dims 1-3."""
+    sources = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    sinks = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
+    internal = [f"n{i}" for i in range(draw(st.integers(0, 3)))]
+    vertices = sources + internal + sinks
+    ends = st.sampled_from(vertices)
+    triples = draw(st.lists(st.tuples(ends, ends, st.integers(1, 3)), max_size=5))
+    edges = [Edge(f"e{i}", u, v, dim) for i, (u, v, dim) in enumerate(triples)]
+    return network(vertices, edges, sources, sinks)
+
+
+@st.composite
+def small_networks(draw):
+    kind = draw(st.sampled_from(["random", "multigraph", "split"]))
+    if kind == "random":
+        seed = draw(st.integers(0, 2**32 - 1))
+        net = random_network(np.random.Generator(np.random.PCG64(seed)), 3, 3)
+    elif kind == "multigraph":
+        net = _multigraph(draw)
+    else:
+        d = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+        a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        net = split_cycle_edge(diamond_network(*d, a * b), SplitSpec("d5", a, b))
+    terminal = net.terminal_set
+    cost = 1  # the reference loop's iterations: rows * cols * internal configurations
+    for e in net.edges:
+        if not (e.is_self_loop and e.u in terminal):
+            cost *= e.dim ** ((e.u in terminal) + (e.v in terminal) or 1)
+    assume(cost <= 20_000)
+    return net
+
+
+class TestContractDifferential:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_networks(),
+        st.sampled_from(PRIMES),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_matches_reference(self, net, p, seed, reduced):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        low, high = (0, p) if reduced else (-(2**62), 2**62)
+        shapes = {v: tuple(e.dim for e in tensor_axes(net, v)) for v in net.internal_vertices}
+        tensors = {v: rng.integers(low, high, size=s, dtype=np.int64) for v, s in shapes.items()}
+        ta = TensorAssignment(PrimeField(p), tensors)
+        fast, slow = contract(net, ta), contract_reference(net, ta)
+        assert fast.matrix.dtype == slow.matrix.dtype == np.int64
+        assert np.array_equal(fast.matrix, slow.matrix)
+        assert (fast.row_edge_ids, fast.col_edge_ids) == (slow.row_edge_ids, slow.col_edge_ids)
+
+    @pytest.mark.parametrize("name", ["n_d5_2", "fig2_counterexample", "n4_split_2x2", "path_3_3"])
+    def test_fixtures_match_reference(self, name):
+        net = fixture(name)
+        ta = random_assignment(net, PrimeField(), seed=0)
+        assert np.array_equal(contract(net, ta).matrix, contract_reference(net, ta).matrix)
+
+
+def _k4(x):
+    """Four internal vertices joined pairwise by dim-``x`` edges, between
+    a source and a sink with dim-1 edges: tensors of x^3 entries whose
+    first pairwise product has x^4."""
+    inner = ["a", "b", "c", "d"]
+    edges = [Edge("sa", "s", "a", 1), Edge("dt", "d", "t", 1)]
+    edges += [Edge(u + w, u, w, x) for u, w in itertools.combinations(inner, 2)]
+    return network(["s", *inner, "t"], edges, ["s"], ["t"])
+
+
+class TestSizeGuard:
+    def test_power_6_refused_before_sampling(self):
+        # fig2^6 node tensors alone would take ~5.8 GB.
+        with pytest.raises(TooLargeError, match="above the limit"):
+            estimate_r1(tensor_power(fixture("fig2_counterexample"), 6), trials=1)
+
+    def test_contract_refuses_before_allocating(self):
+        net = tensor_power(fixture("fig2_counterexample"), 6)
+        # Zero-stride stand-ins of the right shapes: nothing is allocated.
+        tensors = {
+            v: np.broadcast_to(np.int64(0), tuple(e.dim for e in tensor_axes(net, v)))
+            for v in net.internal_vertices
+        }
+        with pytest.raises(TooLargeError):
+            contract(net, TensorAssignment(PrimeField(), tensors))
+
+    def test_intermediate_refused(self):
+        x = 75  # tensors 75^3 < MAX_ENTRIES < 75^4
+        assert x**3 <= MAX_ENTRIES < x**4
+        with pytest.raises(TooLargeError, match="intermediate"):
+            estimate_r1(_k4(x), trials=1)
+
+    def test_within_limit_still_runs(self):
+        est = estimate_r1(_k4(3), trials=1)
+        assert est.r1_lower == est.mc_upper == 1
+
+
 class TestRankModP:
     def test_identity(self):
         bm = BoundaryMatrix(PrimeField(), np.eye(6, dtype=np.int64), (), ())
@@ -226,6 +368,19 @@ class TestEstimateR1:
         for k, expected in ((2, 24), (3, 54)):
             est = estimate_r1(scale(base, k), trials=3, seed=0)
             assert est.r1_lower == est.mc_upper == expected
+
+    def test_fig2_square_closes_gap(self):
+        # The one-shot gap 14 < 15 closes on the tensor square: R1 = MC^2.
+        est = estimate_r1(tensor_power(fixture("fig2_counterexample"), 2), trials=1, seed=0)
+        assert est.r1_lower == est.mc_upper == 225
+
+    def test_witness_is_drawn_from_its_seed(self):
+        net = fixture("n_d5_3")
+        est = estimate_r1(net, trials=2, seed=11)
+        again = random_assignment(net, PrimeField(), est.witness_seed)
+        assert est.witness.tensors.keys() == again.tensors.keys()
+        for v, t in again.tensors.items():
+            assert np.array_equal(est.witness.tensors[v], t)
 
     def test_witness_reproduces_rank(self):
         est = estimate_r1(fixture("n_d5_3"), trials=2, seed=11)
