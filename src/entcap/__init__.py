@@ -14,7 +14,6 @@ from .netmodel import (
     orient,
     scale,
     tensor_power,
-    validate,
 )
 from .tnrank import (
     BoundaryMatrix,

@@ -37,7 +37,11 @@ EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_BUDGET = 0, 1, 2, 3
 
 
 def _emit(obj):
-    print(json.dumps(obj, indent=2))
+    try:
+        text = json.dumps(obj, indent=2)
+    except ValueError as exc:  # an integer too long to convert to decimal
+        raise _fail(EXIT_BAD_INPUT, f"error: cannot print the result: {exc}")
+    print(text)
 
 
 def _read_network(path: str):

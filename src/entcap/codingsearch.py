@@ -20,10 +20,11 @@ from math import prod
 from typing import NamedTuple
 
 from .netmodel import (
+    CyclicNetworkError,  # noqa: F401 -- re-exported, raised by topological_order
     Network,
     NetworkError,
+    successors,
     topological_order,
-    validate,
 )
 
 log = logging.getLogger(__name__)
@@ -33,10 +34,6 @@ DEFAULT_BUDGET = 10**9
 
 class ProtocolError(NetworkError):
     """Protocol tables do not match the network."""
-
-
-class CyclicNetworkError(NetworkError):
-    """The directed network has a cycle; split it first."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -89,20 +86,6 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 # Network wiring helpers
 # ---------------------------------------------------------------------------
-
-
-def _check_directed(net: Network) -> list:
-    """Reject invalid, undirected or cyclic networks; returns the topological order."""
-    errors = validate(net)
-    if errors:
-        raise NetworkError("; ".join(errors))
-    for e in net.edges:
-        if not e.is_directed:
-            raise NetworkError(f"edge {e.id} is undirected; orient the network first")
-    try:
-        return topological_order(net)
-    except NetworkError as exc:
-        raise CyclicNetworkError(str(exc)) from exc
 
 
 def source_out_edges(net: Network) -> list:
@@ -235,7 +218,7 @@ def _check_protocol(net: Network, pt: ProtocolTable):
 
 
 def _protocol_plan(net: Network, pt: ProtocolTable) -> _Plan:
-    order = _check_directed(net)
+    order = topological_order(net)
     _check_protocol(net, pt)
     return _compile(net, order, {v: out_edges(net, v) for v in net.internal_vertices})
 
@@ -271,7 +254,7 @@ class _Budget(Exception):
 
 class _Searcher:
     def __init__(self, net: Network, cfg: SearchConfig):
-        order = _check_directed(net)
+        order = topological_order(net)
         self.net = net
         self.cfg = cfg
         self.l = cfg.alphabet_size
@@ -281,14 +264,11 @@ class _Searcher:
         self.src_dims = [e.dim for e in source_out_edges(net)]
         self.P = prod(self.src_dims)
 
-        succ = {v: set() for v in net.vertices}
+        succ = successors(net)
         pred = {v: set() for v in net.vertices}
-        for e in net.edges:
-            succ[e.tail].add(e.head)
-            pred[e.head].add(e.tail)
-        for early, late in net.stage_pairs:
-            succ[early].add(late)
-            pred[late].add(early)
+        for v, outs in succ.items():
+            for w in outs:
+                pred[w].add(v)
 
         def closure(seeds, adj):
             reach, stack = set(seeds), list(seeds)

@@ -16,7 +16,7 @@ from math import prod
 
 ORIENTATIONS = ("undirected", "uv", "vu")
 
-#: Default cap on the number of enumerable cut units (2**20 partitions).
+#: Cap on the number of enumerable cut units (2**20 partitions).
 ENUMERATION_LIMIT = 20
 
 
@@ -26,6 +26,10 @@ class NetworkError(ValueError):
 
 class TooLargeError(NetworkError):
     """A computation would exceed a fixed size limit (cut partitions, array entries)."""
+
+
+class CyclicNetworkError(NetworkError):
+    """The directed network has a cycle; split it first."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,44 @@ class Network:
     sinks: tuple[str, ...]
     stage_pairs: tuple[tuple[str, str], ...] = ()
 
+    def __post_init__(self):
+        errors = []
+        vset = set(self.vertices)
+        if len(self.vertices) != len(vset):
+            errors.append("duplicate vertex ids")
+        if not self.sources:
+            errors.append("empty source set")
+        if not self.sinks:
+            errors.append("empty sink set")
+        overlap = self.source_set & self.sink_set
+        if overlap:
+            errors.append(f"sources and sinks overlap: {sorted(overlap)}")
+        for v in itertools.chain(self.sources, self.sinks):
+            if v not in vset:
+                errors.append(f"terminal {v!r} is not a declared vertex")
+        seen_ids = set()
+        for e in self.edges:
+            if e.id in seen_ids:
+                errors.append(f"duplicate edge id {e.id!r}")
+            seen_ids.add(e.id)
+            for end in (e.u, e.v):
+                if end not in vset:
+                    errors.append(f"edge {e.id}: unknown endpoint {end!r}")
+            if e.dim < 1:
+                errors.append(f"edge {e.id}: dimension < 1")
+        paired = set()
+        for early, late in self.stage_pairs:
+            for v in (early, late):
+                if v not in vset:
+                    errors.append(f"stage pair vertex {v!r} is not declared")
+                elif v in self.terminal_set:
+                    errors.append(f"stage pair vertex {v!r} is a terminal")
+                if v in paired:
+                    errors.append(f"vertex {v!r} appears in two stage pairs")
+                paired.add(v)
+        if errors:
+            raise NetworkError("; ".join(errors))
+
     @property
     def source_set(self) -> frozenset[str]:
         return frozenset(self.sources)
@@ -143,45 +185,6 @@ class Cut:
     value: int
 
 
-def validate(net: Network) -> list[str]:
-    """Return all invariant violations (empty list means the network is ok)."""
-    errors = []
-    vset = set(net.vertices)
-    if len(net.vertices) != len(vset):
-        errors.append("duplicate vertex ids")
-    if not net.sources:
-        errors.append("empty source set")
-    if not net.sinks:
-        errors.append("empty sink set")
-    overlap = net.source_set & net.sink_set
-    if overlap:
-        errors.append(f"sources and sinks overlap: {sorted(overlap)}")
-    for v in itertools.chain(net.sources, net.sinks):
-        if v not in vset:
-            errors.append(f"terminal {v!r} is not a declared vertex")
-    seen_ids = set()
-    for e in net.edges:
-        if e.id in seen_ids:
-            errors.append(f"duplicate edge id {e.id!r}")
-        seen_ids.add(e.id)
-        for end in (e.u, e.v):
-            if end not in vset:
-                errors.append(f"edge {e.id}: unknown endpoint {end!r}")
-        if e.dim < 1:
-            errors.append(f"edge {e.id}: dimension < 1")
-    paired = set()
-    for early, late in net.stage_pairs:
-        for v in (early, late):
-            if v not in vset:
-                errors.append(f"stage pair vertex {v!r} is not declared")
-            elif v in net.terminal_set:
-                errors.append(f"stage pair vertex {v!r} is a terminal")
-            if v in paired:
-                errors.append(f"vertex {v!r} appears in two stage pairs")
-            paired.add(v)
-    return errors
-
-
 def incident_edges(net: Network, vertex: str) -> list[Edge]:
     """Edges touching ``vertex``, sorted by edge id (self-loops once)."""
     return sorted(
@@ -229,23 +232,19 @@ def _cut_units(net: Network) -> list[frozenset[str]]:
     return units
 
 
-def min_cut(net: Network, limit: int = ENUMERATION_LIMIT) -> Cut:
+def min_cut(net: Network) -> Cut:
     """Exact multiplicative min-cut by enumeration of all vertex partitions.
 
     The witness is deterministic: among minimizers the lexicographically
     smallest source side (by sorted vertex ids) is returned.
 
     Raises:
-        TooLargeError: more than ``limit`` enumerable units.
-        NetworkError: the network does not validate.
+        TooLargeError: more than ``ENUMERATION_LIMIT`` enumerable units.
     """
-    errors = validate(net)
-    if errors:
-        raise NetworkError("; ".join(errors))
     units = _cut_units(net)
-    if len(units) > limit:
+    if len(units) > ENUMERATION_LIMIT:
         raise TooLargeError(
-            f"{len(units)} cut units exceed the enumeration limit {limit}"
+            f"{len(units)} cut units exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
     sources = net.source_set
     best = None
@@ -295,12 +294,12 @@ def orient(net: Network, assignment: dict[str, str]) -> Network:
     return replace(net, edges=tuple(new_edges))
 
 
-def _successors(net: Network) -> dict[str, set[str]]:
+def successors(net: Network) -> dict[str, set[str]]:
     """Directed adjacency including the implicit early -> late stage links."""
     succ: dict[str, set[str]] = {v: set() for v in net.vertices}
     for e in net.edges:
         if not e.is_directed:
-            raise NetworkError(f"edge {e.id} is undirected")
+            raise NetworkError(f"edge {e.id} is undirected; orient the network first")
         succ[e.tail].add(e.head)
     for early, late in net.stage_pairs:
         succ[early].add(late)
@@ -310,9 +309,9 @@ def _successors(net: Network) -> dict[str, set[str]]:
 def topological_order(net: Network) -> list[str]:
     """Topological order of a fully directed network (stage links included).
 
-    Raises NetworkError on a directed cycle.
+    Raises CyclicNetworkError on a directed cycle.
     """
-    succ = _successors(net)
+    succ = successors(net)
     indeg = {v: 0 for v in net.vertices}
     for v, outs in succ.items():
         for w in outs:
@@ -328,7 +327,7 @@ def topological_order(net: Network) -> list[str]:
                 ready.append(w)
         ready.sort()
     if len(order) != len(net.vertices):
-        raise NetworkError("directed network has a cycle")
+        raise CyclicNetworkError("directed network has a cycle")
     return order
 
 
@@ -336,11 +335,20 @@ def is_acyclic(net: Network) -> bool:
     """True iff the fully directed network has no directed cycle."""
     try:
         topological_order(net)
-    except NetworkError as exc:
-        if "cycle" in str(exc):
-            return False
-        raise
+    except CyclicNetworkError:
+        return False
     return True
+
+
+def flow_orientation(net: Network, e: Edge) -> str | None:
+    """The direction an edge takes when it points with the flow: ``"uv"``
+    if it leaves a source or enters a sink, ``"vu"`` if the reverse, else
+    None (an edge between internal vertices)."""
+    if e.u in net.source_set or e.v in net.sink_set:
+        return "uv"
+    if e.v in net.source_set or e.u in net.sink_set:
+        return "vu"
+    return None
 
 
 def all_bidirectional(net: Network) -> Network:
@@ -442,7 +450,7 @@ def dump_network(net: Network) -> str:
 def load_network(text: str) -> Network:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise NetworkError(f"invalid JSON: {exc}") from exc
     return network_from_obj(obj)
 

@@ -18,7 +18,7 @@ from math import prod
 
 import numpy as np
 
-from .netmodel import Network, NetworkError, TooLargeError, incident_edges, min_cut, validate
+from .netmodel import Network, NetworkError, TooLargeError, incident_edges, min_cut
 
 MERSENNE_31 = 2**31 - 1
 
@@ -459,8 +459,9 @@ def estimate_r1(
     """Sample tensor assignments and keep the best boundary rank found.
 
     The per-trial failure probability of missing the generic rank is
-    bounded Schwartz-Zippel style by D/p with D = (max possible rank)
-    times the number of internal tensor entries.
+    bounded Schwartz-Zippel style by D/p: each boundary entry takes one
+    factor from each internal tensor, so a k x k minor (k the max
+    possible rank) has degree D = k times the internal vertex count.
 
     Raises:
         TooLargeError: :func:`contract` would exceed ``MAX_ENTRIES``,
@@ -468,9 +469,6 @@ def estimate_r1(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    errors = validate(net)
-    if errors:
-        raise NetworkError("; ".join(errors))
     mc = min_cut(net).value
     plan = _plan_contraction(net)
     best_rank, best_seed = -1, 0
@@ -479,8 +477,7 @@ def estimate_r1(
         r = rank_mod_p(contract(net, random_assignment(net, field, s)))
         if r > best_rank:
             best_rank, best_seed = r, s
-    n_entries = sum(prod(e.dim for e in tensor_axes(net, v)) for v in net.internal_vertices)
-    degree = min(plan.rows, plan.cols) * max(n_entries, 1)
+    degree = min(plan.rows, plan.cols) * len(net.internal_vertices)
     per_trial = min(Fraction(1), Fraction(degree, field.p))
     return R1Estimate(
         r1_lower=best_rank,

@@ -18,6 +18,7 @@ from .netmodel import (
     Network,
     NetworkError,
     crossing_edges,
+    flow_orientation,
     is_acyclic,
     min_cut,
     network,
@@ -72,14 +73,12 @@ def split_cycle_edge(net: Network, spec: SplitSpec) -> Network:
         touches = {u, v} & {f.u, f.v}
         if len(touches) == 2:
             raise NetworkError(f"parallel edge {f.id} between split vertices")
-        if f.is_directed:
-            tail, head = f.tail, f.head
-        elif f.u in net.source_set or f.v in net.sink_set:
-            tail, head = f.u, f.v
-        elif f.v in net.source_set or f.u in net.sink_set:
-            tail, head = f.v, f.u
-        else:
-            raise NetworkError(f"cannot infer a direction for edge {f.id}")
+        if not f.is_directed:
+            direction = flow_orientation(net, f)
+            if direction is None:
+                raise NetworkError(f"cannot infer a direction for edge {f.id}")
+            f = replace(f, orientation=direction)
+        tail, head = f.tail, f.head
         if head in touches:
             head = early[head]
         if tail in touches:

@@ -84,9 +84,8 @@ class TestBoundsReport:
         )
 
     def test_invalid_network_rejected(self):
-        bad = network(["s", "t"], [Edge("e", "s", "t", 0)], ["s"], ["t"])
         with pytest.raises(NetworkError):
-            bounds_report(bad)
+            bounds_report(network(["s", "t"], [Edge("e", "s", "t", 0)], ["s"], ["t"]))
 
     def test_seed_independence_of_exact_values(self):
         a = bounds_report(fixture("n_d5_3"), ReportOptions(seed=0))
@@ -130,9 +129,3 @@ class TestOrderings:
         assert report.q1_lower <= report.q1_upper <= report.mc
         assert report.r1_lower <= report.mc
         assert report_to_obj(report)["regularized"]["R"] == report.mc
-
-    def test_extra_notes_propagate(self):
-        report = bounds_report(
-            path_network(2, 2), ReportOptions(extra_notes=("checked by hand",))
-        )
-        assert "checked by hand" in report.notes

@@ -17,6 +17,42 @@ def fixture_file(tmp_path):
     return write
 
 
+def _path_2_3(**fields) -> str:
+    """The path_2_3 network file with ``fields`` replaced."""
+    obj = json.loads(fixture_text("path_2_3"))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+_E0, _E1 = json.loads(fixture_text("path_2_3"))["edges"]
+
+#: Network files the loader must refuse, by kind of fault.
+MALFORMED_FILES = {
+    "edges-5": _path_2_3(edges=5),
+    "edges-value1": _path_2_3(edges=[5]),
+    "stage_pairs-value2": _path_2_3(stage_pairs=[["a"]]),
+    "vertices-st": _path_2_3(vertices="st"),
+    "dim-0": _path_2_3(edges=[{**_E0, "dim": 0}, _E1]),
+    "duplicate-edge-id": _path_2_3(edges=[_E0, {**_E1, "id": _E0["id"]}]),
+    "source-is-sink": _path_2_3(sinks=["t", "s"]),
+    "dim-5001-digits": _path_2_3(edges=[{**_E0, "dim": -1}, _E1]).replace(
+        "-1", "9" * 5001
+    ),
+}
+
+#: Every subcommand that reads a network file, with arguments it accepts.
+NETWORK_COMMANDS = [
+    "mincut",
+    "rank",
+    "c1 --l 2",
+    "bounds",
+    "transform --op power:2",
+    "transform --op scale:2",
+    "transform --op split:d5:2:2",
+    "transform --op round:2",
+]
+
+
 def run(capsys, argv):
     try:
         code = main(argv)
@@ -241,6 +277,9 @@ class TestBadArguments:
             ("c1", "n2_up", "--exact-up-to 0"),
             ("reproduce", None, "--budget x"),
             ("reproduce", None, "--all"),
+            # Results with integers past Python's 4300-digit conversion limit.
+            ("transform", "n_d5_2", "--op power:10000"),
+            ("transform", "n_d5_2", "--op round:20000"),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, fixture_file, command, name, args):
@@ -258,16 +297,13 @@ class TestBadArguments:
         assert err.startswith("error: ENTCAP_BUDGET")
 
 
-    @pytest.mark.parametrize(
-        "key, value",
-        [("edges", 5), ("edges", [5]), ("stage_pairs", [["a"]]), ("vertices", "st")],
-    )
-    def test_malformed_network_file(self, capsys, tmp_path, key, value):
-        obj = json.loads(fixture_text("path_2_3"))
-        obj[key] = value
+    @pytest.mark.parametrize("command", NETWORK_COMMANDS)
+    @pytest.mark.parametrize("text", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
+    def test_malformed_network_file(self, capsys, tmp_path, text, command):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(obj))
-        code, out, err = run(capsys, ["mincut", str(path)])
+        path.write_text(text)
+        name, *args = command.split()
+        code, out, err = run(capsys, [name, str(path), *args])
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -392,6 +392,8 @@ class TestEstimateR1:
         assert 0 < est.failure_bound < 1
         single = estimate_r1(fixture("n_d5_2"), trials=1, seed=0)
         assert est.failure_bound == single.failure_bound**4
+        # rank <= 6 times two internal tensors: degree 12.
+        assert single.failure_bound == Fraction(12, 2**31 - 1)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
