@@ -4,25 +4,25 @@
 For each single-direction orientation of the five-edge diamond this prints
 the directed min-cut and the exact one-shot coding value, making the gap
 between the best orientation and the split (staged) network visible.
+Each scan stops at the directed min-cut, which bounds c1.
 
 Usage: scan_orientations.py [d1 d2 d3 d4 d5] [--split a b]
 """
 
 import argparse
 import itertools
-from math import prod
 
-from entcap.codingsearch import SearchConfig, c1_exact, source_out_edges
+from entcap.codingsearch import SearchConfig, c1_exact
 from entcap.fixtures import diamond_network
 from entcap.netmodel import is_acyclic, min_cut, orient
 from entcap.transforms import SplitSpec, split_cycle_edge
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("dims", nargs="*", type=int, default=[2, 3, 3, 2, 4])
     parser.add_argument("--split", nargs=2, type=int, metavar=("A", "B"))
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if len(args.dims) != 5:
         parser.error("need exactly five dimensions")
 
@@ -38,18 +38,18 @@ def main():
         if not is_acyclic(oriented):
             print(f"{label:<28} {'no':<8} {'-':<7} -")
             continue
-        l_cap = prod(e.dim for e in source_out_edges(oriented))
-        c1 = c1_exact(oriented, l_cap, SearchConfig(1, fix_source_bijection=True))
+        directed_mc = min_cut(oriented).value
+        c1 = c1_exact(oriented, directed_mc, SearchConfig(1, fix_source_bijection=True))
         best = max(best, c1)
-        print(f"{label:<28} {'yes':<8} {min_cut(oriented).value:<7} {c1}")
+        print(f"{label:<28} {'yes':<8} {directed_mc:<7} {c1}")
     print(f"best single-direction c1 = {best}")
 
     if args.split:
         a, b = args.split
         staged = split_cycle_edge(net, SplitSpec("d5", a, b))
-        l_cap = prod(e.dim for e in source_out_edges(staged))
-        c1 = c1_exact(staged, l_cap, SearchConfig(1, fix_source_bijection=True))
-        print(f"split d5 = {a}x{b}: directed MC = {min_cut(staged).value}, c1 = {c1}")
+        directed_mc = min_cut(staged).value
+        c1 = c1_exact(staged, directed_mc, SearchConfig(1, fix_source_bijection=True))
+        print(f"split d5 = {a}x{b}: directed MC = {directed_mc}, c1 = {c1}")
 
 
 if __name__ == "__main__":

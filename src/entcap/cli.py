@@ -48,7 +48,7 @@ def _read_network(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return load_network(fh.read())
-    except (OSError, NetworkError) as exc:
+    except (OSError, UnicodeDecodeError, NetworkError) as exc:
         raise _fail(EXIT_BAD_INPUT, f"error: {exc}")
 
 

@@ -294,6 +294,17 @@ def orient(net: Network, assignment: dict[str, str]) -> Network:
     return replace(net, edges=tuple(new_edges))
 
 
+def drop_orientations(net: Network) -> Network:
+    """The same network with every edge undirected.
+
+    Entanglement is shared, not sent, so the tensor-network rank ignores
+    orientation; its min-cut bound must be taken on this network.
+    """
+    return replace(
+        net, edges=tuple(replace(e, orientation="undirected") for e in net.edges)
+    )
+
+
 def successors(net: Network) -> dict[str, set[str]]:
     """Directed adjacency including the implicit early -> late stage links."""
     succ: dict[str, set[str]] = {v: set() for v in net.vertices}

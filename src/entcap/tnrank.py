@@ -18,7 +18,14 @@ from math import prod
 
 import numpy as np
 
-from .netmodel import Network, NetworkError, TooLargeError, incident_edges, min_cut
+from .netmodel import (
+    Network,
+    NetworkError,
+    TooLargeError,
+    drop_orientations,
+    incident_edges,
+    min_cut,
+)
 
 MERSENNE_31 = 2**31 - 1
 
@@ -429,7 +436,8 @@ class R1Estimate:
     ``r1_lower`` is certified: the assignment drawn from ``witness_seed``
     reaches it, and :attr:`witness` redraws that assignment.  The
     ``failure_bound`` only qualifies the claim that it equals the true
-    maximal rank.
+    maximal rank.  ``mc_upper`` is the min-cut with orientations dropped,
+    as the rank ignores them.
     """
 
     r1_lower: int
@@ -469,7 +477,7 @@ def estimate_r1(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    mc = min_cut(net).value
+    mc = min_cut(drop_orientations(net)).value
     plan = _plan_contraction(net)
     best_rank, best_seed = -1, 0
     for t in range(trials):

@@ -77,6 +77,12 @@ class TestBoundsReport:
             assert r.c1 <= r.directed_mc <= report.mc
             assert r.status == "exact"
 
+    def test_scan_stops_at_directed_mc(self):
+        # d5=uv reaches its directed MC of 4; l = 5 is never searched.
+        report = bounds_report(fixture("n_d5_2"), ReportOptions(coding_budget=200_000))
+        assert [r.status for r in report.c1_results] == ["exact", "exact"]
+        assert not any("budget" in note for note in report.notes)
+
     def test_regularized_c_is_best_directed_mc(self):
         report = bounds_report(fixture("n_d5_2"))
         assert report.regularized_c_directed == max(

@@ -3,8 +3,8 @@ import json
 import pytest
 
 from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, main
-from entcap.fixtures import fixture, fixture_text
-from entcap.netmodel import dump_network, tensor_power
+from entcap.fixtures import diamond_network, fixture, fixture_text
+from entcap.netmodel import dump_network, orient, tensor_power
 
 
 @pytest.fixture
@@ -26,6 +26,16 @@ def _path_2_3(**fields) -> str:
 
 _E0, _E1 = json.loads(fixture_text("path_2_3"))["edges"]
 
+
+@pytest.fixture
+def all_uv_diamond(tmp_path):
+    """The (2,3,3,2,4) diamond with every edge u -> v: directed MC 4, rank 6."""
+    net = diamond_network(2, 3, 3, 2, 4)
+    path = tmp_path / "all_uv.json"
+    path.write_text(dump_network(orient(net, {e.id: "uv" for e in net.edges})))
+    return str(path)
+
+
 #: Network files the loader must refuse, by kind of fault.
 MALFORMED_FILES = {
     "edges-5": _path_2_3(edges=5),
@@ -38,6 +48,7 @@ MALFORMED_FILES = {
     "dim-5001-digits": _path_2_3(edges=[{**_E0, "dim": -1}, _E1]).replace(
         "-1", "9" * 5001
     ),
+    "not-utf8": b"\xff\xfe" + fixture_text("path_2_3").encode("utf-16-le"),
 }
 
 #: Every subcommand that reads a network file, with arguments it accepts.
@@ -118,6 +129,12 @@ class TestRank:
         _, out1, _ = run(capsys, ["rank", path, "--seed", "3"])
         _, out2, _ = run(capsys, ["rank", path, "--seed", "3"])
         assert out1 == out2
+
+    def test_directed_input_mc_upper_ignores_orientation(self, capsys, all_uv_diamond):
+        code, out, _ = run(capsys, ["rank", all_uv_diamond])
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert (obj["r1_lower"], obj["mc_upper"]) == (6, 6)
 
     def test_composite_prime_rejected(self, capsys, fixture_file):
         code, _, err = run(capsys, ["rank", fixture_file("path_2_3"), "--prime", "100"])
@@ -257,6 +274,13 @@ class TestBounds:
         assert code == EXIT_OK
         assert json.loads(out)["q1"] == {"lower": 5, "upper": 6}
 
+    def test_directed_input(self, capsys, all_uv_diamond):
+        code, out, err = run(capsys, ["bounds", all_uv_diamond])
+        assert code == EXIT_OK, err
+        obj = json.loads(out)
+        assert (obj["mc"], obj["r1"]["lower"]) == (6, 6)
+        assert [(r["directed_mc"], r["c1"]) for r in obj["c1"]] == [(4, 4)]
+        assert obj["q1"] == {"lower": 4, "upper": 6}
 
 
 class TestBadArguments:
@@ -301,7 +325,7 @@ class TestBadArguments:
     @pytest.mark.parametrize("text", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
     def test_malformed_network_file(self, capsys, tmp_path, text, command):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         name, *args = command.split()
         code, out, err = run(capsys, [name, str(path), *args])
         assert code == EXIT_BAD_INPUT

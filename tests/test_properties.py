@@ -68,6 +68,16 @@ def test_rank_below_mincut(seed):
 
 @SUITE
 @given(seeds)
+def test_rank_below_mc_upper_on_directed_input(seed):
+    # The rank ignores orientation, so its bound must too.
+    net = net_from_seed(seed)
+    directed = orient(net, {e.id: "uv" for e in net.edges})
+    est = estimate_r1(directed, trials=1, seed=seed)
+    assert est.r1_lower <= est.mc_upper
+
+
+@SUITE
+@given(seeds)
 def test_bidirectional_matches_undirected_mincut(seed):
     net = net_from_seed(seed)
     assert min_cut(all_bidirectional(net)).value == min_cut(net).value
