@@ -9,6 +9,14 @@ entries actually reached by some message and pruning a branch the moment
 two messages produce identical sink tuples.  Entries never reached are
 fixed to zero in the returned witness; the enumeration order is
 deterministic, so witnesses are reproducible across machines.
+
+Two sound prunes cut the search without changing any witness.  Messages
+are interchangeable, so encoder rows must strictly increase in row-major
+order (a lex-leader symmetry break): sorting the rows of a valid protocol
+gives a valid protocol, and the first one the unpruned enumeration finds
+is already sorted.  And l above the product of the sink in-edge
+alphabets is impossible outright, since two messages would share a sink
+tuple.
 """
 
 from __future__ import annotations
@@ -253,16 +261,23 @@ class _Budget(Exception):
 
 
 class _Searcher:
-    def __init__(self, net: Network, cfg: SearchConfig):
+    """The lazy enumeration; ``prune=False`` turns both prunes off, which
+    keeps the plain enumeration as the test oracle for the pruned one."""
+
+    def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
         order = topological_order(net)
         self.net = net
         self.cfg = cfg
+        self.prune = prune
         self.l = cfg.alphabet_size
         if self.l < 1:
             raise ValueError("alphabet size must be >= 1")
 
         self.src_dims = [e.dim for e in source_out_edges(net)]
         self.P = prod(self.src_dims)
+        self.max_l = self.P
+        if prune:
+            self.max_l = min(self.P, prod(e.dim for e in sink_in_edges(net)))
 
         succ = successors(net)
         pred = {v: set() for v in net.vertices}
@@ -302,14 +317,18 @@ class _Searcher:
             est *= step.codomain ** prod(dim for _, dim in step.ins)
         self.space_estimate = est
 
-    def _source_rows(self):
-        """Every source symbol row, in row-major (flattened-index) order."""
-        return product(*(range(dim) for dim in self.src_dims))
+    def _source_rows(self, after=None):
+        """Every source symbol row in row-major (flattened-index) order,
+        or only those after the row ``after``."""
+        rows = product(*(range(dim) for dim in self.src_dims))
+        if after is None:
+            return rows
+        return islice(rows, _flatten(after, self.src_dims) + 1, None)
 
     def run(self) -> SearchResult:
-        if self.l > self.P:
-            # Pigeonhole: two messages must share their source symbols,
-            # hence their sink tuples; no protocol can decode.
+        if self.l > self.max_l:
+            # Pigeonhole: two messages must share their source symbols or
+            # their sink tuples; no protocol can decode.
             return SearchResult("impossible", None, 0, self.space_estimate)
         log.info(
             "exhaustive search: l=%d, raw table space ~%.3g",
@@ -353,7 +372,8 @@ class _Searcher:
             self.witness = self._build_witness()
             return True
         if self.enc[m] is None:
-            for row in self._choices(self._source_rows()):
+            after = self.enc[m - 1] if self.prune and m else None
+            for row in self._choices(self._source_rows(after)):
                 self.enc[m] = row
                 if self._extend(m):
                     return True

@@ -298,10 +298,37 @@ def drop_orientations(net: Network) -> Network:
     """The same network with every edge undirected.
 
     Entanglement is shared, not sent, so the tensor-network rank ignores
-    orientation; its min-cut bound must be taken on this network.
+    orientation; its min-cut bound must be taken on this network.  A
+    network with no directed edge is returned as is, not copied.
     """
+    if not any(e.is_directed for e in net.edges):
+        return net
     return replace(
         net, edges=tuple(replace(e, orientation="undirected") for e in net.edges)
+    )
+
+
+def merge_stage_pairs(net: Network) -> Network:
+    """The network with each stage pair merged into one vertex.
+
+    An early/late pair is one physical node whose memory link is
+    unbounded, so it is one tensor: each late vertex is renamed to its
+    early partner, early-late edges become self-loops, and
+    ``stage_pairs`` is dropped.  A vertex is in at most one pair, so
+    pairs never chain.  A network without stage pairs is returned as is.
+    """
+    if not net.stage_pairs:
+        return net
+    early_of = {late: early for early, late in net.stage_pairs}
+
+    def rename(v: str) -> str:
+        return early_of.get(v, v)
+
+    return network(
+        (v for v in net.vertices if v not in early_of),
+        (replace(e, u=rename(e.u), v=rename(e.v)) for e in net.edges),
+        net.sources,
+        net.sinks,
     )
 
 

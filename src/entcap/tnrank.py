@@ -24,6 +24,7 @@ from .netmodel import (
     TooLargeError,
     drop_orientations,
     incident_edges,
+    merge_stage_pairs,
     min_cut,
 )
 
@@ -434,10 +435,10 @@ class R1Estimate:
     """Randomized lower bound on the one-shot tensor-network capacity.
 
     ``r1_lower`` is certified: the assignment drawn from ``witness_seed``
-    reaches it, and :attr:`witness` redraws that assignment.  The
-    ``failure_bound`` only qualifies the claim that it equals the true
-    maximal rank.  ``mc_upper`` is the min-cut with orientations dropped,
-    as the rank ignores them.
+    reaches it, and :attr:`witness` redraws that assignment on ``net``,
+    the network that was ranked.  The ``failure_bound`` only qualifies
+    the claim that it equals the true maximal rank.  ``mc_upper`` is the
+    min-cut of ``net``.
     """
 
     r1_lower: int
@@ -466,6 +467,10 @@ def estimate_r1(
 ) -> R1Estimate:
     """Sample tensor assignments and keep the best boundary rank found.
 
+    The rank ignores orientations, as entanglement is shared, not sent,
+    and a stage pair is one node, so the network ranked is
+    ``merge_stage_pairs(drop_orientations(net))``.
+
     The per-trial failure probability of missing the generic rank is
     bounded Schwartz-Zippel style by D/p: each boundary entry takes one
     factor from each internal tensor, so a k x k minor (k the max
@@ -477,7 +482,8 @@ def estimate_r1(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    mc = min_cut(drop_orientations(net)).value
+    net = merge_stage_pairs(drop_orientations(net))
+    mc = min_cut(net).value
     plan = _plan_contraction(net)
     best_rank, best_seed = -1, 0
     for t in range(trials):
@@ -496,25 +502,3 @@ def estimate_r1(
         net=net,
         field=field,
     )
-
-
-def embed_assignment(
-    ta: TensorAssignment, small: Network, big: Network
-) -> TensorAssignment:
-    """Zero-pad a witness from a network into one with edgewise larger dims.
-
-    Both networks must share vertex and edge ids; this certifies rank
-    monotonicity under dimension increase without fresh sampling.
-    """
-    if tuple(e.id for e in small.edges) != tuple(e.id for e in big.edges):
-        raise NetworkError("networks do not share an edge set")
-    tensors = {}
-    for v in small.internal_vertices:
-        small_shape = tuple(e.dim for e in tensor_axes(small, v))
-        big_shape = tuple(e.dim for e in tensor_axes(big, v))
-        if any(a > b for a, b in zip(small_shape, big_shape)):
-            raise NetworkError(f"dims at {v!r} do not embed")
-        t = np.zeros(big_shape, dtype=np.int64)
-        t[tuple(slice(0, d) for d in small_shape)] = ta.tensors[v]
-        tensors[v] = t
-    return TensorAssignment(field=ta.field, tensors=tensors)

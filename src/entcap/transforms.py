@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from .netmodel import (
-    Cut,
     Edge,
     Network,
     NetworkError,
@@ -103,54 +102,6 @@ def split_cycle_edge(net: Network, spec: SplitSpec) -> Network:
     if not is_acyclic(result):
         raise NetworkError("split produced a cyclic network")  # unreachable
     return result
-
-
-def unsplit_cycle_edge(net: Network, edge_id: str) -> Network:
-    """Inverse of :func:`split_cycle_edge`, up to orientation.
-
-    Re-merges the two stage pairs, multiplies the split-edge dimensions
-    back together, and drops all orientations (the undirected shadow).
-    """
-    ea = net.edge_by_id(edge_id + "a")
-    eb = net.edge_by_id(edge_id + "b")
-    # a runs v_early -> u_late, b runs u_early -> v_late.
-    u_early, u_late = eb.tail, ea.head
-    v_early, v_late = ea.tail, eb.head
-
-    def base(name: str) -> str:
-        for suffix in ("_early", "_late"):
-            if name.endswith(suffix):
-                return name[: -len(suffix)]
-        return name
-
-    merged = {u_early: base(u_early), u_late: base(u_early),
-              v_early: base(v_early), v_late: base(v_early)}
-
-    def mapped(w: str) -> str:
-        return merged.get(w, w)
-
-    vertices = []
-    for w in net.vertices:
-        m = mapped(w)
-        if m not in vertices:
-            vertices.append(m)
-    edges = []
-    for f in net.edges:
-        if f.id in (ea.id, eb.id):
-            continue
-        edges.append(
-            Edge(id=f.id, u=mapped(f.u), v=mapped(f.v), dim=f.dim,
-                 orientation="undirected")
-        )
-    edges.append(
-        Edge(id=edge_id, u=mapped(u_early), v=mapped(v_early),
-             dim=ea.dim * eb.dim, orientation="undirected")
-    )
-    pairs = tuple(
-        p for p in net.stage_pairs
-        if not ({p[0], p[1]} & set(merged))
-    )
-    return network(vertices, edges, net.sources, net.sinks, pairs)
 
 
 @dataclass(frozen=True)

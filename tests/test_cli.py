@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, main
+from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, main
 from entcap.fixtures import diamond_network, fixture, fixture_text
 from entcap.netmodel import dump_network, orient, tensor_power
 
@@ -274,6 +278,15 @@ class TestBounds:
         assert code == EXIT_OK
         assert json.loads(out)["q1"] == {"lower": 5, "upper": 6}
 
+    @pytest.mark.parametrize("name, c1", [("n2_up", 5), ("n4_split_2x2", 6)])
+    def test_staged_fixture_rank_is_trusted(self, capsys, fixture_file, name, c1):
+        # A stage pair is ranked as one tensor, so R1 = MC = 6 >= c1.
+        code, out, err = run(capsys, ["bounds", fixture_file(name), "--r1-exact"])
+        assert code == EXIT_OK, err
+        obj = json.loads(out)
+        assert (obj["mc"], obj["r1"]["lower"], obj["c1"][0]["c1"]) == (6, 6, c1)
+        assert obj["q1"] == {"lower": c1, "upper": 6}
+
     def test_directed_input(self, capsys, all_uv_diamond):
         code, out, err = run(capsys, ["bounds", all_uv_diamond])
         assert code == EXIT_OK, err
@@ -340,6 +353,86 @@ class TestBadArguments:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+_DATA = resources.files("entcap") / "data"
+
+#: Small counts, with a third of the draws invalid.  (A huge valid count
+#: is no fault but a long run: ``--trials`` 10^30 draws 10^30 trials.)
+_numbers = st.sampled_from([*"123456"] * 2 + ["0", "-1", "x", "", "1.5", "+"])
+#: Each flag of any subcommand, with the values to draw for it (None: no value).
+_FLAGS = {
+    "--prime": st.sampled_from(["2", "3", "7", "2147483647", "9", "4294967311", "p"]),
+    "--trials": _numbers,
+    "--seed": _numbers,
+    "--l": _numbers,
+    "--exact-up-to": _numbers,
+    "--budget": _numbers,
+    "--fix-source-bijection": None,
+    "--shard-index": st.sampled_from(["0", "1", "2", "-1", "x"]),
+    "--shard-count": _numbers,
+    "--op": st.one_of(
+        st.builds("{}:{}".format, st.sampled_from(["power", "scale", "round"]), _numbers),
+        st.builds("split:{}:{}:{}".format, st.sampled_from(["d5", "d1", "e0"]), _numbers, _numbers),
+        st.sampled_from(["", "split", "power:", "nope:1"]),
+    ),
+    "--split": st.builds("{}:{}:{}".format, st.sampled_from(["d5", "d3"]), _numbers, _numbers),
+    "--r1-exact": None,
+    "--full-orientations": None,
+    "--claim": st.sampled_from(["mincut-exactness", "r1-gap", "sandwich", "nope"]),
+    "--nope": None,
+}
+#: The flags each subcommand accepts; "nope" is not a subcommand.
+_OWN_FLAGS = {
+    "mincut": [],
+    "rank": ["--prime", "--trials", "--seed"],
+    "c1": ["--l", "--exact-up-to", "--budget", "--fix-source-bijection", "--shard-index", "--shard-count"],
+    "transform": ["--op"],
+    "bounds": ["--split", "--trials", "--seed", "--budget", "--r1-exact", "--full-orientations"],
+    "reproduce": ["--claim", "--budget", "--seed"],
+    "nope": [],
+}
+#: Every shipped data file, a directory and a missing file; the two
+#: directed fixtures thrice, so that `c1` gets to search.
+_PATHS = [str(p) for p in sorted(_DATA.iterdir())] + [str(_DATA), str(_DATA / "missing.json")]
+_PATHS += [str(_DATA / "n2_up.json"), str(_DATA / "n4_split_2x2.json")] * 2
+
+
+@st.composite
+def _argv(draw):
+    """Mostly well-formed: a file where one is taken, the subcommand's own
+    flags, ``--op`` for transform; now and then a stray file, a missing
+    ``--op`` or another subcommand's flag."""
+    command = draw(st.sampled_from(sorted(_OWN_FLAGS)))
+    argv = [command]
+    if (draw(st.integers(0, 5)) > 0) == (command != "reproduce"):
+        argv.append(draw(st.sampled_from(_PATHS)))
+    flags = draw(st.lists(st.sampled_from(_OWN_FLAGS[command] or ["--nope"]), max_size=3))
+    if command == "transform" and draw(st.integers(0, 5)):
+        flags.insert(0, "--op")
+    if not draw(st.integers(0, 5)):
+        flags.append(draw(st.sampled_from(sorted(_FLAGS))))
+    for flag in flags:
+        argv.append(flag)
+        if _FLAGS[flag] is not None:
+            argv.append(draw(_FLAGS[flag]))
+    if "--budget" in _OWN_FLAGS[command]:  # searches stay small: a later --budget wins
+        argv += ["--budget", str(draw(st.integers(min_value=1, max_value=2_000)))]
+    return argv
+
+
+@given(_argv())
+@settings(max_examples=200, deadline=None)
+def test_argv_fuzz_exits_cleanly(argv):
+    """Any argv ends with a known exit code and never with a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_BUDGET), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 class TestReproduce:

@@ -1,5 +1,7 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from entcap.codingsearch import (
@@ -8,6 +10,7 @@ from entcap.codingsearch import (
     ProtocolError,
     ProtocolTable,
     SearchConfig,
+    _Searcher,
     c1_exact,
     exhaustive_achievable,
     is_valid,
@@ -18,7 +21,13 @@ from entcap.codingsearch import (
     simulate,
 )
 from entcap.fixtures import diamond_network, fixture, path_network
-from entcap.netmodel import all_bidirectional, min_cut, orient
+from entcap.netmodel import (
+    all_bidirectional,
+    is_acyclic,
+    min_cut,
+    orient,
+    random_network,
+)
 
 
 def oriented_path(*dims):
@@ -124,8 +133,8 @@ class TestExhaustiveSearch:
         assert a.witness == b.witness
         assert a.assignments == b.assignments
 
-    # (status, assignments, space_estimate, witness) of the lazy enumeration,
-    # recorded once; any change to the enumeration order shows here.
+    # (status, assignments, space_estimate, witness) of the unpruned lazy
+    # enumeration, recorded once; any change to the enumeration order shows here.
     N2_L5_WITNESS = {
         "l": 5,
         "source": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]],
@@ -157,11 +166,43 @@ class TestExhaustiveSearch:
         ],
     )
     def test_pinned_enumeration(self, name, l, fix, expected):
+        res = _Searcher(
+            fixture(name),
+            SearchConfig(alphabet_size=l, fix_source_bijection=fix),
+            prune=False,
+        ).run()
+        witness = protocol_to_obj(res.witness) if res.witness else None
+        assert (res.status, res.assignments, res.space_estimate, witness) == expected
+
+    # The same searches pruned: fewer assignments, the same witnesses.  A
+    # pinned encoder is already sorted, so those rows do not move.
+    @pytest.mark.parametrize(
+        "name, l, fix, expected",
+        [
+            ("n2_up", 5, False, ("witness", 25, 40310784, N2_L5_WITNESS)),
+            ("n2_up", 6, True, ("impossible", 1773, 5184, None)),
+            ("n4_split_2x2", 6, True, ("witness", 42, 165888, N4_L6_WITNESS)),
+            ("n4_split_2x2", 6, False, ("witness", 65, 7739670528, N4_L6_WITNESS)),
+        ],
+    )
+    def test_pinned_pruned_enumeration(self, name, l, fix, expected):
         res = exhaustive_achievable(
             fixture(name), SearchConfig(alphabet_size=l, fix_source_bijection=fix)
         )
         witness = protocol_to_obj(res.witness) if res.witness else None
         assert (res.status, res.assignments, res.space_estimate, witness) == expected
+
+    def test_sink_pigeonhole(self):
+        # Sink in-edges of dims 1 and 2: three messages cannot all differ
+        # there, although the source offers 2 * 2 rows.
+        net = orient(
+            diamond_network(2, 2, 1, 2, 1),
+            {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv", "d5": "uv"},
+        )
+        pruned = exhaustive_achievable(net, SearchConfig(alphabet_size=3))
+        oracle = _Searcher(net, SearchConfig(alphabet_size=3), prune=False).run()
+        assert (pruned.status, pruned.assignments) == ("impossible", 0)
+        assert oracle.status == "impossible" and oracle.assignments > 0
 
     def test_l1_always_achievable(self):
         net = oriented_path(2, 3)
@@ -204,6 +245,50 @@ class TestExhaustiveSearch:
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
             SearchConfig(alphabet_size=2, budget=0)
+
+
+def _witness_json(res):
+    return json.dumps(protocol_to_obj(res.witness)) if res.witness else None
+
+
+def _differential_corpus():
+    """The staged fixtures, every acyclic orientation of the (2,3,3,2,4)
+    diamond, and acyclic random orientations of random networks."""
+    corpus = [(name, fixture(name)) for name in ("n2_up", "n4_split_2x2")]
+    diamond = diamond_network(2, 3, 3, 2, 4)
+    eids = [e.id for e in diamond.edges]
+    for dirs in itertools.product(("uv", "vu"), repeat=len(eids)):
+        net = orient(diamond, dict(zip(eids, dirs)))
+        if is_acyclic(net):
+            corpus.append(("diamond-" + "-".join(dirs), net))
+    for seed in range(100):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        net = random_network(rng)
+        dirs = rng.choice(["uv", "vu"], size=len(net.edges))
+        net = orient(net, {e.id: str(d) for e, d in zip(net.edges, dirs)})
+        if is_acyclic(net):
+            corpus.append((f"random-{seed}", net))
+    return corpus
+
+
+CORPUS = _differential_corpus()
+
+
+@pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[name for name, _ in CORPUS])
+def test_pruned_search_matches_oracle(net):
+    """Pruning never changes a finished search's status or witness, and
+    never costs assignments; it may finish a search the oracle cannot."""
+    for l, fix in itertools.product(range(1, 7), (False, True)):
+        cfg = SearchConfig(alphabet_size=l, budget=5_000, fix_source_bijection=fix)
+        oracle = _Searcher(net, cfg, prune=False).run()
+        pruned = _Searcher(net, cfg).run()
+        if oracle.status == "budget_exceeded":
+            if pruned.status == "witness":
+                assert is_valid(net, pruned.witness)
+            continue
+        assert pruned.status == oracle.status, (l, fix)
+        assert _witness_json(pruned) == _witness_json(oracle), (l, fix)
+        assert pruned.assignments <= oracle.assignments, (l, fix)
 
 
 class TestC1Exact:

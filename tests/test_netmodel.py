@@ -14,6 +14,7 @@ from entcap.netmodel import (
     dump_network,
     is_acyclic,
     load_network,
+    merge_stage_pairs,
     min_cut,
     network,
     orient,
@@ -201,6 +202,32 @@ class TestOrient:
         for name in ("fig2_counterexample", "n_d5_3", "path_2_3"):
             net = fixture(name)
             assert min_cut(all_bidirectional(net)).value == min_cut(net).value
+
+
+class TestMergeStagePairs:
+    def test_split_fixture_merges_to_two_relays(self):
+        merged = merge_stage_pairs(fixture("n4_split_2x2"))
+        assert merged.vertices == ("s", "n1_early", "n2_early", "t")
+        assert merged.stage_pairs == ()
+        ends = {e.id: (e.u, e.v) for e in merged.edges}
+        assert ends["d5a"] == ("n2_early", "n1_early")
+        assert ends["d3"] == ("n1_early", "t")
+
+    def test_early_late_edge_becomes_self_loop(self):
+        net = network(
+            ["s", "a", "b", "t"],
+            [Edge("e0", "s", "a", 2), Edge("m", "a", "b", 5), Edge("e1", "b", "t", 3)],
+            ["s"],
+            ["t"],
+            [("a", "b")],
+        )
+        merged = merge_stage_pairs(net)
+        assert merged.edge_by_id("m").is_self_loop
+        assert min_cut(merged).value == min_cut(net).value == 2
+
+    def test_unstaged_network_unchanged(self):
+        net = fixture("n_d5_2")
+        assert merge_stage_pairs(net) == net
 
 
 class TestJson:

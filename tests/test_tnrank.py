@@ -22,7 +22,6 @@ from entcap.tnrank import (
     TensorAssignment,
     contract,
     contract_reference,
-    embed_assignment,
     estimate_r1,
     matmul_mod,
     random_assignment,
@@ -403,34 +402,3 @@ class TestEstimateR1:
         net, ta = r1_witness_n2()
         assert rank_mod_p(contract(net, ta)) == 6
 
-
-class TestEmbedAssignment:
-    def test_monotone_under_dimension_growth(self):
-        small = diamond_network(2, 3, 3, 2, 2)
-        big = diamond_network(2, 4, 4, 2, 4)
-        est = estimate_r1(small, trials=3, seed=0)
-        embedded = embed_assignment(est.witness, small, big)
-        assert rank_mod_p(contract(big, embedded)) >= est.r1_lower
-
-    def test_identity_embedding_preserves_matrix(self):
-        net = diamond_network(2, 3, 3, 2, 2)
-        ta = random_assignment(net, PrimeField(), seed=1)
-        same = embed_assignment(ta, net, net)
-        assert np.array_equal(
-            contract(net, ta).matrix, contract(net, same).matrix
-        )
-
-    def test_mismatched_edge_sets_rejected(self):
-        with pytest.raises(NetworkError):
-            embed_assignment(
-                random_assignment(path_network(2, 2), PrimeField(), seed=0),
-                path_network(2, 2),
-                diamond_network(2, 3, 3, 2, 2),
-            )
-
-    def test_shrinking_dims_rejected(self):
-        small = diamond_network(2, 3, 3, 2, 2)
-        big = diamond_network(2, 2, 2, 2, 2)
-        ta = random_assignment(small, PrimeField(), seed=0)
-        with pytest.raises(NetworkError, match="embed"):
-            embed_assignment(ta, small, big)

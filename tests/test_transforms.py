@@ -1,10 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entcap.codingsearch import SearchConfig, c1_exact
 from entcap.fixtures import diamond_network, fixture, path_network
 from entcap.netmodel import (
     NetworkError,
+    drop_orientations,
     is_acyclic,
+    merge_stage_pairs,
     min_cut,
     network_to_obj,
     orient,
@@ -19,7 +22,6 @@ from entcap.transforms import (
     sandwich_check,
     split_cycle_edge,
     teleport_reduce_scaled,
-    unsplit_cycle_edge,
 )
 
 
@@ -61,10 +63,21 @@ class TestSplit:
         with pytest.raises(NetworkError):
             split_cycle_edge(split, SplitSpec("d5a", 2, 1))
 
-    def test_unsplit_roundtrip(self):
-        base = diamond_network(2, 3, 3, 2, 6)
-        split = split_cycle_edge(base, SplitSpec("d5", 3, 2))
-        assert unsplit_cycle_edge(split, "d5") == base
+    @given(
+        st.lists(st.integers(min_value=1, max_value=4), min_size=4, max_size=4),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_merged_split_keeps_mincut_and_rank(self, dims, a, b):
+        # Merging the stage pairs gives the diamond back, with d5 in two
+        # parallel pieces of dims a and b: the same MC and the same R1.
+        base = diamond_network(*dims, a * b)
+        split = split_cycle_edge(base, SplitSpec("d5", a, b))
+        merged = merge_stage_pairs(drop_orientations(split))
+        assert not merged.stage_pairs
+        assert min_cut(merged).value == min_cut(base).value
+        assert estimate_r1(split).r1_lower == estimate_r1(base).r1_lower
 
     def test_trivial_split_equals_dropping_the_edge(self):
         # Splitting a dim-1 middle edge into 1*1 is the degenerate case:
