@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -165,12 +166,27 @@ def _parse_op(op: str):
     raise ValueError(f"bad --op value {op!r}")
 
 
+def _check_power_digits(net, op: str, n: int):
+    """Refuse a power whose dimensions ``dim**n`` would have more digits
+    than Python prints, before building them (they could fill memory)."""
+    limit = sys.get_int_max_str_digits()
+    digits = n * math.log10(max((e.dim for e in net.edges), default=1))
+    if limit and digits > limit:
+        raise _fail(
+            EXIT_BAD_INPUT,
+            f"error: {op} gives dimensions of about {digits:.3g} digits, "
+            f"above the {limit}-digit print limit",
+        )
+
+
 def cmd_transform(args) -> int:
     net = _read_network(args.file)
     try:
         kind, arg = _parse_op(args.op)
     except ValueError as exc:
         raise _fail(EXIT_BAD_INPUT, f"error: {exc}")
+    if kind in ("power", "round"):
+        _check_power_digits(net, args.op, arg)
     if kind == "split":
         _emit(network_to_obj(split_cycle_edge(net, arg)))
     elif kind == "power":

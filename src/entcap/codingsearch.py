@@ -8,7 +8,9 @@ The exhaustive search assigns table entries lazily, branching only on
 entries actually reached by some message and pruning a branch the moment
 two messages produce identical sink tuples.  Entries never reached are
 fixed to zero in the returned witness; the enumeration order is
-deterministic, so witnesses are reproducible across machines.
+deterministic, so witnesses are reproducible across machines.  After each
+table assignment the search resumes that message's forward pass at the
+step it just assigned, instead of re-running it from the source.
 
 Two sound prunes cut the search without changing any witness.  Messages
 are interchangeable, so encoder rows must strictly increase in row-major
@@ -176,22 +178,34 @@ def _compile(net: Network, order: list, outs: dict) -> _Plan:
     return _Plan(len(net.edges), source, tuple(pos[e.id] for e in sink_in_edges(net)), steps)
 
 
-def _forward(plan: _Plan, row, tables):
-    """Run the source symbol ``row`` through ``plan``, reading ``tables[v][idx]``.
-
-    Returns ``(sink_tuple, None)``, or ``(None, (v, idx, codomain))`` at
-    the first table entry that is still ``None``.
-    """
+def _source_symbols(plan: _Plan, row) -> list:
+    """A fresh symbol list holding the source symbol ``row``, every other edge 0."""
     sym = [0] * plan.size
     for pos, val in zip(plan.source, row):
         sym[pos] = val
-    for v, ins, outs, codomain in plan.steps:
+    return sym
+
+
+def _forward(plan: _Plan, sym: list, tables, start: int = 0):
+    """Run ``plan.steps[start:]`` over the symbol list ``sym``, reading
+    ``tables[v][idx]`` and writing each step's outputs into ``sym``.
+
+    A step reads only source symbols and the outputs of earlier steps, so
+    a pass that stopped at step k can resume: ``sym`` still holds what the
+    steps before k wrote.  Once the missing entry is filled, resume at k,
+    or write that entry's outputs into ``sym`` and resume at k + 1.
+    Returns ``(sink_tuple, None)``, or ``(None, (k, idx))`` at the first
+    table entry that is still ``None``.
+    """
+    steps = plan.steps
+    for k in range(start, len(steps)):
+        v, ins, outs, _ = steps[k]
         idx = 0
         for pos, dim in ins:
             idx = idx * dim + sym[pos]
         out = tables[v][idx]
         if out is None:
-            return None, (v, idx, codomain)
+            return None, (k, idx)
         for pos, dim in reversed(outs):
             out, sym[pos] = divmod(out, dim)
     return tuple(sym[pos] for pos in plan.sink), None
@@ -241,13 +255,17 @@ def simulate(net: Network, pt: ProtocolTable, message: int) -> tuple:
     plan = _protocol_plan(net, pt)
     if not 0 <= message < pt.alphabet_size:
         raise ProtocolError(f"message {message} outside alphabet")
-    return _forward(plan, pt.source_encoder[message], pt.node_functions)[0]
+    sym = _source_symbols(plan, pt.source_encoder[message])
+    return _forward(plan, sym, pt.node_functions)[0]
 
 
 def is_valid(net: Network, pt: ProtocolTable) -> bool:
     """True iff message -> sink tuple is injective (a decoder exists)."""
     plan = _protocol_plan(net, pt)
-    tuples = {_forward(plan, row, pt.node_functions)[0] for row in pt.source_encoder}
+    tuples = {
+        _forward(plan, _source_symbols(plan, row), pt.node_functions)[0]
+        for row in pt.source_encoder
+    }
     return len(tuples) == pt.alphabet_size
 
 
@@ -330,13 +348,20 @@ class _Searcher:
             # Pigeonhole: two messages must share their source symbols or
             # their sink tuples; no protocol can decode.
             return SearchResult("impossible", None, 0, self.space_estimate)
+        # bit_length, not float() or str(): the space can pass 1e308 and
+        # 4300 digits, and the arguments are built even with INFO off.
         log.info(
-            "exhaustive search: l=%d, raw table space ~%.3g",
+            "exhaustive search: l=%d, raw table space ~2^%d",
             self.l,
-            float(self.space_estimate),
+            self.space_estimate.bit_length(),
         )
         self.assignments = 0
         self.enc = self.fixed_enc or [None] * self.l
+        # One symbol list per message, written by its encoder row and its
+        # forward pass; a pass resumes in place, so backtracking copies nothing.
+        self.sym = [
+            None if row is None else _source_symbols(self.plan, row) for row in self.enc
+        ]
         self.tables = {
             step.vertex: [None] * prod(dim for _, dim in step.ins)
             for step in self.plan.steps
@@ -367,7 +392,9 @@ class _Searcher:
             yield option
         self.shard_pending = sharded
 
-    def _extend(self, m) -> bool:
+    def _extend(self, m, start=0) -> bool:
+        """Extend the partial protocol so messages m.. decode too; message
+        m's forward pass resumes at step ``start``."""
         if m == self.l:
             self.witness = self._build_witness()
             return True
@@ -375,11 +402,12 @@ class _Searcher:
             after = self.enc[m - 1] if self.prune and m else None
             for row in self._choices(self._source_rows(after)):
                 self.enc[m] = row
+                self.sym[m] = _source_symbols(self.plan, row)
                 if self._extend(m):
                     return True
             self.enc[m] = None
             return False
-        sinks, missing = _forward(self.plan, self.enc[m], self.tables)
+        sinks, missing = _forward(self.plan, self.sym[m], self.tables, start)
         if missing is None:
             if sinks in self.seen:
                 return False
@@ -388,11 +416,15 @@ class _Searcher:
                 return True
             self.seen.remove(sinks)
             return False
-        v, idx, codomain = missing
+        k, idx = missing
+        v, _, outs, codomain = self.plan.steps[k]
+        sym = self.sym[m]
         table = self.tables[v]
         for c in self._choices(range(codomain)):
-            table[idx] = c
-            if self._extend(m):
+            table[idx] = out = c
+            for pos, dim in reversed(outs):
+                out, sym[pos] = divmod(out, dim)
+            if self._extend(m, k + 1):
                 return True
         table[idx] = None
         return False

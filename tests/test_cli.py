@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from importlib import resources
 
 import pytest
@@ -206,6 +207,15 @@ class TestC1:
         assert code == EXIT_OK
         assert json.loads(out)["assignments"] == 42
 
+    def test_table_space_past_float_range(self, capsys, tmp_path):
+        # Raw table space 200^3 * 200^(200*200), far above 1e308.
+        path = tmp_path / "path_200_200.json"
+        edges = [{**e, "dim": 200, "orientation": "uv"} for e in (_E0, _E1)]
+        path.write_text(_path_2_3(edges=edges))
+        code, out, _ = run(capsys, ["c1", str(path), "--l", "3"])
+        assert code == EXIT_OK
+        assert json.loads(out)["status"] == "witness"
+
     def test_undirected_input_rejected(self, capsys, fixture_file):
         code, _, err = run(capsys, ["c1", fixture_file("n_d5_2"), "--l", "2"])
         assert code == EXIT_BAD_INPUT
@@ -317,6 +327,8 @@ class TestBadArguments:
             # Results with integers past Python's 4300-digit conversion limit.
             ("transform", "n_d5_2", "--op power:10000"),
             ("transform", "n_d5_2", "--op round:20000"),
+            # Refused before dim**N is built, which would not finish.
+            ("transform", "path_2_3", f"--op power:{10**30}"),
         ],
     )
     def test_exit_2_with_one_error_line(self, capsys, fixture_file, command, name, args):
@@ -325,6 +337,14 @@ class TestBadArguments:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("op", ["power:100000000", "round:100000000"])
+    def test_huge_power_refused_at_once(self, capsys, fixture_file, op):
+        # Building 3^(10^8) alone takes far longer than this.
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["transform", fixture_file("path_2_3"), "--op", op])
+        assert (code, out, err.count("\n")) == (EXIT_BAD_INPUT, "", 1)
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("value", ["abc", "0"])
     def test_bad_budget_env(self, capsys, fixture_file, monkeypatch, value):

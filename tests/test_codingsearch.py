@@ -1,8 +1,10 @@
 import itertools
 import json
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entcap.codingsearch import (
     BudgetExceededError,
@@ -11,14 +13,19 @@ from entcap.codingsearch import (
     ProtocolTable,
     SearchConfig,
     _Searcher,
+    _compile,
+    _forward,
+    _source_symbols,
     c1_exact,
     exhaustive_achievable,
     is_valid,
+    out_edges,
     paper_protocol_n2,
     paper_protocol_n4,
     protocol_from_obj,
     protocol_to_obj,
     simulate,
+    source_out_edges,
 )
 from entcap.fixtures import diamond_network, fixture, path_network
 from entcap.netmodel import (
@@ -27,6 +34,7 @@ from entcap.netmodel import (
     min_cut,
     orient,
     random_network,
+    topological_order,
 )
 
 
@@ -289,6 +297,53 @@ def test_pruned_search_matches_oracle(net):
         assert pruned.status == oracle.status, (l, fix)
         assert _witness_json(pruned) == _witness_json(oracle), (l, fix)
         assert pruned.assignments <= oracle.assignments, (l, fix)
+
+
+@st.composite
+def _partial_protocol(draw):
+    """A compiled acyclic network, a source row and tables that are only
+    partly filled: each entry is None or a value in the step's codomain."""
+    if draw(st.booleans()):
+        net = fixture(draw(st.sampled_from(["n2_up", "n4_split_2x2"])))
+    else:
+        rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+        net = random_network(rng)
+        size = len(net.edges)
+        dirs = draw(st.lists(st.sampled_from(["uv", "vu"]), min_size=size, max_size=size))
+        net = orient(net, {e.id: d for e, d in zip(net.edges, dirs)})
+        assume(is_acyclic(net))
+    outs = {v: out_edges(net, v) for v in net.internal_vertices}
+    plan = _compile(net, topological_order(net), outs)
+    row = tuple(draw(st.integers(0, e.dim - 1)) for e in source_out_edges(net))
+    tables = {
+        step.vertex: [
+            draw(st.none() | st.integers(0, step.codomain - 1))
+            for _ in range(prod(dim for _, dim in step.ins))
+        ]
+        for step in plan.steps
+    }
+    return plan, row, tables
+
+
+@given(_partial_protocol(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_resumed_pass_matches_fresh_pass(protocol, data):
+    """Fill each missing entry a pass stops at, then resume the pass at the
+    reported step k, or write the entry's outputs and resume at k + 1: both
+    give the ``(sink_tuple, missing)`` of a fresh pass from step 0."""
+    plan, row, tables = protocol
+    sym = _source_symbols(plan, row)
+    result = _forward(plan, sym, tables)
+    while result[1] is not None:
+        k, idx = result[1]
+        step = plan.steps[k]
+        out = tables[step.vertex][idx] = data.draw(st.integers(0, step.codomain - 1))
+        at_k = _forward(plan, list(sym), tables, k)
+        for pos, dim in reversed(step.outs):
+            out, sym[pos] = divmod(out, dim)
+        result = _forward(plan, sym, tables, k + 1)
+        fresh = _forward(plan, _source_symbols(plan, row), tables)
+        assert at_k == result == fresh
 
 
 class TestC1Exact:
