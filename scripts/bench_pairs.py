@@ -5,17 +5,19 @@ Usage, with each checkout made by ``git archive REV | tar -x -C DIR``:
 
     python3 scripts/bench_pairs.py --parent DIR_A --change DIR_B \\
         --claim diamond-bounds:solve_s --claim-seeds 71-80 --other-seeds 81-83 \\
-        --trace-workloads diamond-bounds reproduce --trace-seed 1 \\
+        --trace-workloads diamond-bounds reproduce \\
         --note "what changed" --out BENCH_name.json
 
 Every run is ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` from the root of a checkout, and its last stdout line is the
-source of each number.  Pair i runs both sides on seed i, the parent first
-in even pairs and the change first in odd ones, so that a drift of the
-host over the session falls on both sides alike.  The claimed workload
+--trace 0`` from the root of a checkout, with T the ``run_seconds`` of
+BENCHMARK.json, and its last stdout line is the source of each number.
+Both checkouts must hold the same perfbench/ and BENCHMARK.json.  Pair i
+runs both sides on seed i, the parent first in even pairs and the change
+first in odd ones, so that a drift of the host over the session falls on
+both sides alike.  The claimed workload
 runs on the claim seeds, every other workload on the other seeds.  With
-``--trace-workloads``, one ``--trace 1`` run per side and workload adds
-the per-layer metrics that either side reports as non-zero.
+``--trace-workloads``, one ``--trace 1`` run per side and workload, on
+seed 1, adds the per-layer metrics that either side reports as non-zero.
 
 Each metric is summarised by its runs, median and quartiles (inclusive
 method); the claim adds how many pairs the change wins, the ratio and
@@ -35,6 +37,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+TRACE_SEED = 1
 ORDER = "pairs alternate which side runs first, parent first in pair 0"
 
 
@@ -157,8 +160,6 @@ def main(argv=None) -> int:
     parser.add_argument("--claim-seeds", type=seed_range, required=True, help="e.g. 71-80: one pair per seed")
     parser.add_argument("--other-seeds", type=seed_range, default=[], help="seeds for every other workload")
     parser.add_argument("--trace-workloads", nargs="*", default=[])
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--note", default="", help="what the two sides differ in")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -167,17 +168,18 @@ def main(argv=None) -> int:
     bench = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     claim_workload, _, claim_metric = args.claim.partition(":")
     if claim_workload not in workloads or claim_metric not in better:
         parser.error(f"unknown claim {args.claim!r}")
 
-    same = same_harness(checkouts["parent"], checkouts["change"])
+    if not same_harness(checkouts["parent"], checkouts["change"]):
+        parser.error("perfbench/ or BENCHMARK.json differ between the checkouts")
     command = f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0`"
     note = (
         f"{args.note} Every run is {command} from the root of each checkout; its last stdout line "
-        f"is the source of each number. perfbench/ and BENCHMARK.json are "
-        f"{'the same' if same else 'NOT the same'} on both sides. Times are probe-normalized by "
+        f"is the source of each number. perfbench/ and BENCHMARK.json are the same on both sides. "
+        f"Times are probe-normalized by "
         f"run.py. The claim runs use seeds {seed_text(args.claim_seeds)}"
         + (f", the other workloads seeds {seed_text(args.other_seeds)}." if args.other_seeds else ".")
         + " Written by scripts/bench_pairs.py."
@@ -193,10 +195,10 @@ def main(argv=None) -> int:
         }
     if args.trace_workloads:
         out["per_layer_trace1"] = {
-            "note": f"one --trace 1 run per side and workload, seed {args.trace_seed}; self times are "
+            "note": f"one --trace 1 run per side and workload, seed {TRACE_SEED}; self times are "
                     "raw seconds of one traced pass (median over traced passes); metrics that read 0 "
                     "on both sides are left out",
-            **{w: traced_rows(checkouts, w, args.trace_seed, seconds) for w in args.trace_workloads},
+            **{w: traced_rows(checkouts, w, TRACE_SEED, seconds) for w in args.trace_workloads},
         }
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     claim = out["claim"]

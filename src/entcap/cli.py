@@ -170,12 +170,13 @@ def _check_power_digits(net, op: str, n: int):
     """Refuse a power whose dimensions ``dim**n`` would have more digits
     than Python prints, before building them (they could fill memory)."""
     limit = sys.get_int_max_str_digits()
-    digits = n * math.log10(max((e.dim for e in net.edges), default=1))
-    if limit and digits > limit:
+    dim = max((e.dim for e in net.edges), default=1)
+    # Compares the int n with a float, which is exact and cannot overflow.
+    if limit and dim > 1 and n > limit / math.log10(dim):
         raise _fail(
             EXIT_BAD_INPUT,
-            f"error: {op} gives dimensions of about {digits:.3g} digits, "
-            f"above the {limit}-digit print limit",
+            f"error: {op} gives dimensions of more than {limit} digits, "
+            f"above the print limit",
         )
 
 

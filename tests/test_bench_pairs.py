@@ -39,3 +39,16 @@ def test_claim_counts_pairs_won(bench_pairs):
 def test_seed_range(bench_pairs):
     assert bench_pairs.seed_range("71-74") == [71, 72, 73, 74]
     assert bench_pairs.seed_range("5") == [5]
+
+
+def test_refuses_checkouts_with_different_harness(bench_pairs, tmp_path):
+    bench = {"run_seconds": 26, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "solve_s", "better": "lower"}]}
+    for side, seconds in (("parent", 26), ("change", 8)):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps({**bench, "run_seconds": seconds}))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--claim", "w:solve_s", "--claim-seeds", "1", "--out", str(tmp_path / "out.json")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out.json").exists()
