@@ -127,13 +127,10 @@ def cmd_rank(args) -> int:
 
 def cmd_c1(args) -> int:
     net = _read_network(args.file)
-    if args.shard_index >= args.shard_count:
-        raise _fail(EXIT_BAD_INPUT, "error: --shard-index must be below --shard-count")
     cfg = SearchConfig(
         alphabet_size=args.l,
         budget=_budget(args),
         fix_source_bijection=args.fix_source_bijection,
-        shard=(args.shard_index, args.shard_count),
     )
     try:
         if args.exact_up_to is not None:
@@ -278,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-up-to", type=_positive, default=None, help="scan for the largest achievable l")
     p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
     p.add_argument("--fix-source-bijection", action="store_true")
-    p.add_argument("--shard-index", type=_non_negative, default=0)
-    p.add_argument("--shard-count", type=_positive, default=1)
     p.set_defaults(func=cmd_c1)
 
     p = sub.add_parser("transform", help="apply split/power/scale/round to a network")

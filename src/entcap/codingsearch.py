@@ -23,7 +23,6 @@ tuple.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from itertools import islice, product
 from math import prod
@@ -36,8 +35,6 @@ from .netmodel import (
     successors,
     topological_order,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_BUDGET = 10**9
 
@@ -75,22 +72,20 @@ class SearchConfig:
     alphabet_size: int
     budget: int = DEFAULT_BUDGET
     fix_source_bijection: bool = False
-    shard: tuple[int, int] = (0, 1)
 
     def __post_init__(self):
         if self.budget <= 0:
             raise ValueError("budget must be positive")
-        index, count = self.shard
-        if count < 1 or not 0 <= index < count:
-            raise ValueError(f"bad shard {self.shard}")
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The outcome of the whole search for one alphabet size: a witness,
+    ``impossible`` after every branch failed, or ``budget_exceeded``."""
+
     status: str  # "witness" | "impossible" | "budget_exceeded"
     witness: ProtocolTable | None
     assignments: int
-    space_estimate: int
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +325,6 @@ class _Searcher:
         fixed = cfg.fix_source_bijection and self.l == self.P
         self.fixed_enc = list(self._source_rows()) if fixed else None
 
-        est = 1 if self.fixed_enc is not None else self.P**self.l
-        for step in self.plan.steps:
-            est *= step.codomain ** prod(dim for _, dim in step.ins)
-        self.space_estimate = est
-
     def _source_rows(self, after=None):
         """Every source symbol row in row-major (flattened-index) order,
         or only those after the row ``after``."""
@@ -347,14 +337,7 @@ class _Searcher:
         if self.l > self.max_l:
             # Pigeonhole: two messages must share their source symbols or
             # their sink tuples; no protocol can decode.
-            return SearchResult("impossible", None, 0, self.space_estimate)
-        # bit_length, not float() or str(): the space can pass 1e308 and
-        # 4300 digits, and the arguments are built even with INFO off.
-        log.info(
-            "exhaustive search: l=%d, raw table space ~2^%d",
-            self.l,
-            self.space_estimate.bit_length(),
-        )
+            return SearchResult("impossible", None, 0)
         self.assignments = 0
         self.enc = self.fixed_enc or [None] * self.l
         # One symbol list per message, written by its encoder row and its
@@ -368,29 +351,20 @@ class _Searcher:
         }
         self.seen = set()
         self.witness = None
-        self.shard_pending = self.cfg.shard[1] > 1
         try:
             found = self._extend(0)
         except _Budget:
-            return SearchResult(
-                "budget_exceeded", None, self.assignments, self.space_estimate
-            )
+            return SearchResult("budget_exceeded", None, self.assignments)
         status = "witness" if found else "impossible"
-        return SearchResult(status, self.witness, self.assignments, self.space_estimate)
+        return SearchResult(status, self.witness, self.assignments)
 
     def _choices(self, options):
-        """Yield the options to try, each counted against the budget; the
-        first branching point of a sharded search keeps only its share."""
-        sharded, self.shard_pending = self.shard_pending, False
-        if sharded:
-            index, count = self.cfg.shard
-            options = islice(options, index, None, count)
+        """Yield the options to try, each counted against the budget."""
         for option in options:
             self.assignments += 1
             if self.assignments > self.cfg.budget:
                 raise _Budget
             yield option
-        self.shard_pending = sharded
 
     def _extend(self, m, start=0) -> bool:
         """Extend the partial protocol so messages m.. decode too; message

@@ -88,8 +88,8 @@ class Network:
 
     ``stage_pairs`` records early/late vertex pairs created by cycle
     node-splitting: each pair is one logical node with staged I/O.  The
-    late stage sees the full input of its early stage, and cut
-    enumeration never separates the two.
+    late stage sees the full input of its early stage, and ``min_cut``
+    counts the pair as one cut unit, so no cut separates the two.
     """
 
     vertices: tuple[str, ...]
@@ -217,21 +217,6 @@ def cut_value(net: Network, s_side: frozenset[str]) -> int:
     return prod(e.dim for e in crossing_edges(net, s_side))
 
 
-def _cut_units(net: Network) -> list[frozenset[str]]:
-    """Internal vertices grouped so that stage pairs stay together."""
-    group = {v: frozenset([v]) for v in net.internal_vertices}
-    for early, late in net.stage_pairs:
-        merged = group[early] | group[late]
-        for v in merged:
-            group[v] = merged
-    units, seen = [], set()
-    for v in net.internal_vertices:
-        if v not in seen:
-            units.append(group[v])
-            seen.update(group[v])
-    return units
-
-
 def min_cut(net: Network) -> Cut:
     """Exact multiplicative min-cut by enumeration of all vertex partitions.
 
@@ -241,7 +226,15 @@ def min_cut(net: Network) -> Cut:
     Raises:
         TooLargeError: more than ``ENUMERATION_LIMIT`` enumerable units.
     """
-    units = _cut_units(net)
+    # One unit per internal vertex that is not a late stage, together
+    # with its late partner, so a cut never separates a stage pair.
+    late_of = dict(net.stage_pairs)
+    lates = set(late_of.values())
+    units = [
+        (v, late_of[v]) if v in late_of else (v,)
+        for v in net.internal_vertices
+        if v not in lates
+    ]
     if len(units) > ENUMERATION_LIMIT:
         raise TooLargeError(
             f"{len(units)} cut units exceed the enumeration limit {ENUMERATION_LIMIT}"

@@ -6,7 +6,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, main
+from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, build_parser, main
 from entcap.fixtures import diamond_network, fixture, fixture_text
 from entcap.netmodel import dump_network, orient, tensor_power
 
@@ -319,7 +319,11 @@ class TestBadArguments:
             ("c1", "n2_up", "--l 0"),
             ("c1", "n2_up", "--l -3"),
             ("c1", "n2_up", "--budget 0"),
+            # No shard flags: a partial search must never print as the
+            # whole answer (a shard gave c1 4 for 5, impossible at l = 5).
             ("c1", "n2_up", "--shard-index 2 --shard-count 2"),
+            ("c1", "n2_up", "--exact-up-to 6 --shard-index 2 --shard-count 3"),
+            ("c1", "n2_up", "--l 5 --shard-index 2 --shard-count 3"),
             ("c1", "n2_up", "--exact-up-to 0"),
             ("reproduce", None, "--budget x"),
             ("reproduce", None, "--all"),
@@ -384,8 +388,6 @@ _FLAGS = {
     "--exact-up-to": _numbers,
     "--budget": _numbers,
     "--fix-source-bijection": None,
-    "--shard-index": st.sampled_from(["0", "1", "2", "-1", "x"]),
-    "--shard-count": _numbers,
     "--op": st.one_of(
         st.builds("{}:{}".format, st.sampled_from(["power", "scale", "round"]), _numbers),
         st.builds("split:{}:{}:{}".format, st.sampled_from(["d5", "d1", "e0"]), _numbers, _numbers),
@@ -401,7 +403,7 @@ _FLAGS = {
 _OWN_FLAGS = {
     "mincut": [],
     "rank": ["--prime", "--trials", "--seed"],
-    "c1": ["--l", "--exact-up-to", "--budget", "--fix-source-bijection", "--shard-index", "--shard-count"],
+    "c1": ["--l", "--exact-up-to", "--budget", "--fix-source-bijection"],
     "transform": ["--op"],
     "bounds": ["--split", "--trials", "--seed", "--budget", "--r1-exact", "--full-orientations"],
     "reproduce": ["--claim", "--budget", "--seed"],
@@ -434,6 +436,26 @@ def _argv(draw):
     if "--budget" in _OWN_FLAGS[command]:  # searches stay small: a later --budget wins
         argv += ["--budget", str(draw(st.integers(min_value=1, max_value=2_000)))]
     return argv
+
+
+def test_fuzzed_flags_match_the_parser():
+    """Each subcommand's fuzzed flags are exactly the options it accepts,
+    so an added or removed flag cannot fall out of the fuzz unnoticed."""
+    (commands,) = (a for a in build_parser()._actions if a.choices)
+    accepted = {
+        name: sorted(
+            opt
+            for action in parser._actions
+            for opt in action.option_strings
+            if opt not in ("-h", "--help")
+        )
+        for name, parser in commands.choices.items()
+    }
+    assert accepted == {
+        name: sorted(flags) for name, flags in _OWN_FLAGS.items() if name != "nope"
+    }
+    own = {flag for flags in _OWN_FLAGS.values() for flag in flags}
+    assert set(_FLAGS) == own | {"--nope"}
 
 
 @given(_argv())

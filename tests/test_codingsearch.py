@@ -141,8 +141,8 @@ class TestExhaustiveSearch:
         assert a.witness == b.witness
         assert a.assignments == b.assignments
 
-    # (status, assignments, space_estimate, witness) of the unpruned lazy
-    # enumeration, recorded once; any change to the enumeration order shows here.
+    # (status, assignments, witness) of the unpruned lazy enumeration,
+    # recorded once; any change to the enumeration order shows here.
     N2_L5_WITNESS = {
         "l": 5,
         "source": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1]],
@@ -167,10 +167,10 @@ class TestExhaustiveSearch:
     @pytest.mark.parametrize(
         "name, l, fix, expected",
         [
-            ("n2_up", 5, False, ("witness", 35, 40310784, N2_L5_WITNESS)),
-            ("n2_up", 6, True, ("impossible", 1773, 5184, None)),
-            ("n4_split_2x2", 6, True, ("witness", 42, 165888, N4_L6_WITNESS)),
-            ("n4_split_2x2", 6, False, ("witness", 109, 7739670528, N4_L6_WITNESS)),
+            ("n2_up", 5, False, ("witness", 35, N2_L5_WITNESS)),
+            ("n2_up", 6, True, ("impossible", 1773, None)),
+            ("n4_split_2x2", 6, True, ("witness", 42, N4_L6_WITNESS)),
+            ("n4_split_2x2", 6, False, ("witness", 109, N4_L6_WITNESS)),
         ],
     )
     def test_pinned_enumeration(self, name, l, fix, expected):
@@ -180,17 +180,17 @@ class TestExhaustiveSearch:
             prune=False,
         ).run()
         witness = protocol_to_obj(res.witness) if res.witness else None
-        assert (res.status, res.assignments, res.space_estimate, witness) == expected
+        assert (res.status, res.assignments, witness) == expected
 
     # The same searches pruned: fewer assignments, the same witnesses.  A
     # pinned encoder is already sorted, so those rows do not move.
     @pytest.mark.parametrize(
         "name, l, fix, expected",
         [
-            ("n2_up", 5, False, ("witness", 25, 40310784, N2_L5_WITNESS)),
-            ("n2_up", 6, True, ("impossible", 1773, 5184, None)),
-            ("n4_split_2x2", 6, True, ("witness", 42, 165888, N4_L6_WITNESS)),
-            ("n4_split_2x2", 6, False, ("witness", 65, 7739670528, N4_L6_WITNESS)),
+            ("n2_up", 5, False, ("witness", 25, N2_L5_WITNESS)),
+            ("n2_up", 6, True, ("impossible", 1773, None)),
+            ("n4_split_2x2", 6, True, ("witness", 42, N4_L6_WITNESS)),
+            ("n4_split_2x2", 6, False, ("witness", 65, N4_L6_WITNESS)),
         ],
     )
     def test_pinned_pruned_enumeration(self, name, l, fix, expected):
@@ -198,7 +198,7 @@ class TestExhaustiveSearch:
             fixture(name), SearchConfig(alphabet_size=l, fix_source_bijection=fix)
         )
         witness = protocol_to_obj(res.witness) if res.witness else None
-        assert (res.status, res.assignments, res.space_estimate, witness) == expected
+        assert (res.status, res.assignments, witness) == expected
 
     def test_sink_pigeonhole(self):
         # Sink in-edges of dims 1 and 2: three messages cannot all differ
@@ -224,31 +224,6 @@ class TestExhaustiveSearch:
         )
         assert res.status == "budget_exceeded"
         assert res.witness is None
-
-    def test_shard_union_matches_unsharded(self):
-        net = fixture("n2_up")
-        whole = exhaustive_achievable(net, SearchConfig(alphabet_size=5))
-        shard_hits = [
-            exhaustive_achievable(
-                net, SearchConfig(alphabet_size=5, shard=(i, 3))
-            ).status
-            == "witness"
-            for i in range(3)
-        ]
-        assert (whole.status == "witness") == any(shard_hits)
-
-    def test_shard_impossible_on_every_shard(self):
-        net = fixture("n2_up")
-        for i in range(2):
-            res = exhaustive_achievable(
-                net,
-                SearchConfig(alphabet_size=6, fix_source_bijection=True, shard=(i, 2)),
-            )
-            assert res.status == "impossible"
-
-    def test_bad_shard_rejected(self):
-        with pytest.raises(ValueError):
-            SearchConfig(alphabet_size=2, shard=(2, 2))
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
