@@ -10,7 +10,7 @@ collapsed to a point only when the two ends meet.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .codingsearch import BudgetExceededError, DEFAULT_BUDGET, SearchConfig, c1_exact
@@ -40,7 +40,6 @@ class ReportOptions:
     seed: int = 0
     coding_budget: int = DEFAULT_BUDGET
     r1_exact: bool = False  # fixture knowledge: the rank estimate is the true value
-    full_orientations: bool = False
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,23 @@ class CapacityReport:
     notes: tuple[str, ...]
 
 
-def _auto_orientations(net: Network):
-    """Acyclic orientations tried by default: terminal edges point with the
+def _carrying(net: Network) -> Network:
+    """The network without the edges that can carry no message: loops,
+    edges between two sources or two sinks, and edges directed into a
+    source or out of a sink.  No directed cut or coding value changes, and
+    a cycle of what is left can only run through internal vertices."""
+    sources, sinks = net.source_set, net.sink_set
+
+    def carries(e) -> bool:  # some direction it may take leaves a non-sink for a non-source
+        ways = [(e.tail, e.head)] if e.is_directed else [(e.u, e.v), (e.v, e.u)]
+        return any(a != b and a not in sinks and b not in sources for a, b in ways)
+
+    edges = tuple(e for e in net.edges if carries(e))
+    return net if len(edges) == len(net.edges) else replace(net, edges=edges)
+
+
+def _orientations(net: Network):
+    """The orientations ``bounds`` tries: terminal edges point with the
     flow, each internal-internal undirected edge tries both directions."""
     free = []
     assignment = {}
@@ -71,12 +85,6 @@ def _auto_orientations(net: Network):
             assignment[e.id] = direction
     for dirs in itertools.product(("uv", "vu"), repeat=len(free)):
         yield {**assignment, **dict(zip(free, dirs))}
-
-
-def _all_orientations(net: Network):
-    undirected = [e.id for e in net.edges if not e.is_directed]
-    for dirs in itertools.product(("uv", "vu"), repeat=len(undirected)):
-        yield dict(zip(undirected, dirs))
 
 
 def _variant_name(kind: str, spec) -> str:
@@ -97,14 +105,17 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     est = estimate_r1(net, PrimeField(), trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
 
+    carrying = _carrying(net)
     variants = []
-    gen = _all_orientations(net) if options.full_orientations else _auto_orientations(net)
-    for assignment in gen:
-        oriented = orient(net, assignment)
+    for assignment in _orientations(carrying):
+        oriented = orient(carrying, assignment)
         if is_acyclic(oriented):
             variants.append((_variant_name("orient", assignment), oriented))
+    kept = {e.id for e in carrying.edges}
     for spec in options.splits:
-        variants.append((_variant_name("split", spec), split_cycle_edge(net, spec)))
+        # A dropped edge is a loop or touches a terminal; the split refuses it.
+        split = split_cycle_edge(carrying if spec.edge_id in kept else net, spec)
+        variants.append((_variant_name("split", spec), split))
 
     c1_results = []
     q1_lower = 1

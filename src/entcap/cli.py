@@ -13,7 +13,7 @@ import math
 import os
 import sys
 
-from .capreport import ReportOptions, ReportInvariantError, bounds_report, report_to_obj
+from .capreport import ReportOptions, bounds_report, report_to_obj
 from .codingsearch import (
     BudgetExceededError,
     DEFAULT_BUDGET,
@@ -212,13 +212,8 @@ def cmd_bounds(args) -> int:
         seed=args.seed,
         coding_budget=_budget(args),
         r1_exact=args.r1_exact,
-        full_orientations=args.full_orientations,
     )
-    try:
-        report = bounds_report(net, options)
-    except ReportInvariantError as exc:
-        raise _fail(EXIT_FAIL, f"error: {exc}")
-    _emit(report_to_obj(report))
+    _emit(report_to_obj(bounds_report(net, options)))
     return EXIT_OK
 
 
@@ -291,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
     p.add_argument("--r1-exact", action="store_true", help="trust the rank estimate as exact")
-    p.add_argument("--full-orientations", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")

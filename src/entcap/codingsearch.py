@@ -292,34 +292,26 @@ class _Searcher:
         if prune:
             self.max_l = min(self.P, prod(e.dim for e in sink_in_edges(net)))
 
+        # Only live vertices compute: those a source feeds through internal
+        # vertices (a sink forwards nothing), writing only the out-edges a
+        # sink or a live vertex reads (a source reads nothing).  Every other
+        # edge carries 0; it cannot help or hurt injectivity.
         succ = successors(net)
-        pred = {v: set() for v in net.vertices}
-        for v, outs in succ.items():
-            for w in outs:
-                pred[w].add(v)
-
-        def closure(seeds, adj):
-            reach, stack = set(seeds), list(seeds)
-            while stack:
-                for w in adj[stack.pop()]:
-                    if w not in reach:
-                        reach.add(w)
-                        stack.append(w)
-            return reach
-
-        reach_t = closure(net.sink_set, pred)
-        reach_s = closure(net.source_set, succ)
-
-        # Only live vertices compute, and only their outputs toward the
-        # sink; every other edge carries 0.  Dead vertices either see only
-        # constants (unreachable from the source) or cannot influence the
-        # sink; neither can help or hurt injectivity.
+        sinks, internal = net.sink_set, set(net.internal_vertices)
+        reached = set(net.sources)
+        for v in order:
+            if v in reached and v not in sinks:
+                reached.update(succ[v])
+        late_of = dict(net.stage_pairs)
+        readers = set(sinks)
         live = {}
-        for v in net.internal_vertices:
-            if v in reach_s and v in reach_t:
-                outs = [e for e in out_edges(net, v) if e.head in reach_t]
-                if outs:  # else an early stage feeding only its late partner
+        for v in reversed(order):
+            if v in reached and v in internal:
+                outs = [e for e in out_edges(net, v) if e.head in readers]
+                if outs:
                     live[v] = outs
+                if outs or late_of.get(v) in live:  # a late stage reads its early's in-edges
+                    readers.add(v)
         self.plan = _compile(net, order, live)
 
         fixed = cfg.fix_source_bijection and self.l == self.P

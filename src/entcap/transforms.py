@@ -99,8 +99,10 @@ def split_cycle_edge(net: Network, spec: SplitSpec) -> Network:
         net.sinks,
         (*net.stage_pairs, (early[u], late[u]), (early[v], late[v])),
     )
+    # Reached by edges between two sources or two sinks, a terminal loop,
+    # an edge directed against the flow, or a directed cycle elsewhere.
     if not is_acyclic(result):
-        raise NetworkError("split produced a cyclic network")  # unreachable
+        raise NetworkError("split produced a cyclic network")
     return result
 
 

@@ -1,4 +1,8 @@
+import itertools
+from dataclasses import replace
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from entcap.capreport import (
     ReportInvariantError,
@@ -6,8 +10,9 @@ from entcap.capreport import (
     bounds_report,
     report_to_obj,
 )
+from entcap.codingsearch import BudgetExceededError, SearchConfig, c1_exact
 from entcap.fixtures import fixture, path_network
-from entcap.netmodel import Edge, NetworkError, network
+from entcap.netmodel import Edge, NetworkError, is_acyclic, min_cut, network, orient
 from entcap.transforms import SplitSpec
 
 
@@ -62,13 +67,6 @@ class TestBoundsReport:
         assert len(names) == 2  # the middle edge tried both ways
         assert all(name.startswith("orient[") for name in names)
 
-    def test_full_orientations_superset(self):
-        default = bounds_report(fixture("n_d5_2"))
-        full = bounds_report(fixture("n_d5_2"), ReportOptions(full_orientations=True))
-        assert len(full.c1_results) >= len(default.c1_results)
-        assert full.q1_lower >= default.q1_lower
-        assert full.q1_lower <= full.q1_upper
-
     def test_c1_below_directed_mc(self):
         report = bounds_report(
             fixture("n_d5_4"), ReportOptions(splits=(SplitSpec("d5", 2, 2),))
@@ -76,6 +74,12 @@ class TestBoundsReport:
         for r in report.c1_results:
             assert r.c1 <= r.directed_mc <= report.mc
             assert r.status == "exact"
+        # The best single direction gives 5; only the split reaches 6.
+        assert [(r.name, r.c1) for r in report.c1_results] == [
+            ("orient[d1=uv,d2=uv,d3=uv,d4=uv,d5=uv]", 4),
+            ("orient[d1=uv,d2=uv,d3=uv,d4=uv,d5=vu]", 5),
+            ("split[d5=2x2]", 6),
+        ]
 
     def test_scan_stops_at_directed_mc(self):
         # d5=uv reaches its directed MC of 4; l = 5 is never searched.
@@ -102,6 +106,147 @@ class TestBoundsReport:
             b.q1_lower,
             b.q1_upper,
         )
+
+
+def _two_sinks():
+    return network(
+        ["s", "n", "t1", "t2"],
+        [
+            Edge("a", "s", "n", 2),
+            Edge("b", "n", "t1", 2),
+            Edge("c", "t1", "t2", 1),
+            Edge("d", "t2", "t1", 1),
+        ],
+        ["s"],
+        ["t1", "t2"],
+    )
+
+
+def _self_loop():
+    return network(
+        ["s", "n", "t"],
+        [Edge("a", "s", "n", 2), Edge("b", "n", "t", 2), Edge("c", "n", "n", 3)],
+        ["s"],
+        ["t"],
+    )
+
+
+def _split_two_sinks():
+    net = fixture("n_d5_4")
+    return replace(
+        net,
+        vertices=(*net.vertices, "t2"),
+        sinks=("t", "t2"),
+        edges=(*net.edges, Edge("x", "t", "t2", 1), Edge("y", "t2", "t", 1)),
+    )
+
+
+class TestEdgesThatCarryNothing:
+    """Sink-sink edges and loops once closed a cycle in every variant, so
+    the report had no c1 row; ``bounds`` now leaves such edges out."""
+
+    @pytest.mark.parametrize(
+        "make, splits, q1",
+        [
+            (_two_sinks, (), (2, 2)),
+            (_self_loop, (), (2, 2)),
+            (_split_two_sinks, (SplitSpec("d5", 2, 2),), (6, 6)),
+        ],
+        ids=["two-sinks", "self-loop", "split"],
+    )
+    def test_rows_and_interval(self, make, splits, q1):
+        report = bounds_report(make(), ReportOptions(splits=splits))
+        assert report.c1_results
+        assert all(r.status == "exact" for r in report.c1_results)
+        assert (report.q1_lower, report.q1_upper) == q1
+        assert report.regularized_c_directed == q1[0]
+
+    def test_names_leave_out_dropped_edges(self):
+        (row,) = bounds_report(_two_sinks()).c1_results
+        assert row.name == "orient[a=uv,b=uv]"
+
+    @pytest.mark.parametrize(
+        "make, spec, reason",
+        [
+            (_self_loop, SplitSpec("c", 3, 1), "self-loop"),
+            (_two_sinks, SplitSpec("c", 1, 1), "touches a source or sink"),
+        ],
+    )
+    def test_split_of_a_dropped_edge_says_why(self, make, spec, reason):
+        with pytest.raises(NetworkError, match=reason):
+            bounds_report(make(), ReportOptions(splits=(spec,)))
+
+
+_BUDGET = 20_000
+
+
+def _best_over_all_orientations(net):
+    """(best c1, best directed MC) over every orientation of every
+    undirected edge, or None when a search hits the budget.  In each
+    orientation, loops and edges into a source or out of a sink carry
+    nothing and are left out; with no acyclic orientation the report's
+    empty values (1, 0) stand."""
+    undirected = [e.id for e in net.edges if not e.is_directed]
+    best_c1, best_mc = 1, 0
+    for dirs in itertools.product(("uv", "vu"), repeat=len(undirected)):
+        oriented = orient(net, dict(zip(undirected, dirs)))
+        oriented = replace(
+            oriented,
+            edges=tuple(
+                e
+                for e in oriented.edges
+                if not e.is_self_loop
+                and e.head not in net.source_set
+                and e.tail not in net.sink_set
+            ),
+        )
+        if not is_acyclic(oriented):
+            continue
+        directed_mc = min_cut(oriented).value
+        cfg = SearchConfig(1, budget=_BUDGET, fix_source_bijection=True)
+        try:
+            c1 = c1_exact(oriented, directed_mc, cfg)
+        except BudgetExceededError:
+            return None
+        best_c1, best_mc = max(best_c1, c1), max(best_mc, directed_mc)
+    return best_c1, best_mc
+
+
+@st.composite
+def _small_networks(draw):
+    """1-2 sources and sinks, 0-2 internal vertices, up to five edges of
+    dim 1-3 between any two vertices (loops too), some of them directed."""
+    sources = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    sinks = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
+    vertices = sources + sinks + [f"n{i}" for i in range(draw(st.integers(0, 2)))]
+    ends = st.sampled_from(vertices)
+    edges = draw(
+        st.lists(
+            st.tuples(
+                ends, ends, st.integers(1, 3), st.sampled_from(["undirected"] * 3 + ["uv", "vu"])
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    return network(
+        vertices,
+        [Edge(f"e{i}", u, v, dim, o) for i, (u, v, dim, o) in enumerate(edges)],
+        sources,
+        sinks,
+    )
+
+
+@given(_small_networks())
+@settings(max_examples=150, deadline=None)
+def test_flow_rule_matches_all_orientations(net):
+    """Pointing terminal edges with the flow loses nothing: the report's
+    Q1 lower end and best directed MC equal the best over all orientations."""
+    oracle = _best_over_all_orientations(net)
+    report = bounds_report(net, ReportOptions(coding_budget=_BUDGET, rank_trials=1))
+    assume(oracle is not None)
+    assume(all(r.status == "exact" for r in report.c1_results))
+    assert (report.q1_lower, report.regularized_c_directed) == oracle
 
 
 class TestReportObj:

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import pathlib
+import shlex
 from importlib import resources
 
 import pytest
@@ -11,11 +13,27 @@ from entcap.fixtures import diamond_network, fixture, fixture_text
 from entcap.netmodel import dump_network, orient, tensor_power
 
 
+def _n_d5_4_two_sinks() -> str:
+    """The n_d5_4 diamond with a second sink t2 joined to t by two dim-1 edges."""
+    obj = json.loads(fixture_text("n_d5_4"))
+    obj["vertices"].append("t2")
+    obj["sinks"].append("t2")
+    obj["edges"] += [
+        {"id": "x", "u": "t", "v": "t2", "dim": 1},
+        {"id": "y", "u": "t2", "v": "t", "dim": 1},
+    ]
+    return json.dumps(obj)
+
+
+#: Network files that are not shipped fixtures.
+_EXTRA_FILES = {"n_d5_4_two_sinks": _n_d5_4_two_sinks()}
+
+
 @pytest.fixture
 def fixture_file(tmp_path):
     def write(name):
         path = tmp_path / f"{name}.json"
-        path.write_text(fixture_text(name))
+        path.write_text(_EXTRA_FILES.get(name) or fixture_text(name))
         return str(path)
 
     return write
@@ -316,6 +334,8 @@ class TestBadArguments:
             ("rank", "path_2_3", "--seed -1"),
             ("bounds", "n_d5_4", "--split d5:x"),
             ("bounds", "path_2_3", "--trials 0"),
+            # One orientation rule: terminal edges point with the flow.
+            ("bounds", "n_d5_2", "--full-orientations"),
             ("c1", "n2_up", "--l 0"),
             ("c1", "n2_up", "--l -3"),
             ("c1", "n2_up", "--budget 0"),
@@ -333,6 +353,8 @@ class TestBadArguments:
             # Refused before dim**N is built, which would not finish.
             ("transform", "path_2_3", f"--op power:{10**30}"),
             ("transform", "path_2_3", f"--op round:{10**30}"),
+            # Sink-sink edges t-t2 and t2-t both point into a sink: a cycle.
+            ("transform", "n_d5_4_two_sinks", "--op split:d5:2:2"),
             # N past the float range.
             pytest.param("transform", "path_2_3", f"--op power:{10**400}", id="power-1e400"),
             pytest.param("transform", "path_2_3", f"--op round:-{10**400}", id="round-minus-1e400"),
@@ -395,7 +417,6 @@ _FLAGS = {
     ),
     "--split": st.builds("{}:{}:{}".format, st.sampled_from(["d5", "d3"]), _numbers, _numbers),
     "--r1-exact": None,
-    "--full-orientations": None,
     "--claim": st.sampled_from(["mincut-exactness", "r1-gap", "sandwich", "nope"]),
     "--nope": None,
 }
@@ -405,7 +426,7 @@ _OWN_FLAGS = {
     "rank": ["--prime", "--trials", "--seed"],
     "c1": ["--l", "--exact-up-to", "--budget", "--fix-source-bijection"],
     "transform": ["--op"],
-    "bounds": ["--split", "--trials", "--seed", "--budget", "--r1-exact", "--full-orientations"],
+    "bounds": ["--split", "--trials", "--seed", "--budget", "--r1-exact"],
     "reproduce": ["--claim", "--budget", "--seed"],
     "nope": [],
 }
@@ -456,6 +477,23 @@ def test_fuzzed_flags_match_the_parser():
     }
     own = {flag for flags in _OWN_FLAGS.values() for flag in flags}
     assert set(_FLAGS) == own | {"--nope"}
+
+
+def _readme_commands():
+    """The ``entcap`` lines of the README's "Command line" block, as argv lists."""
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("entcap ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    """Each documented command parses, so a removed flag cannot stay in the docs."""
+    build_parser().parse_args(argv)
 
 
 @given(_argv())

@@ -29,9 +29,11 @@ from entcap.codingsearch import (
 )
 from entcap.fixtures import diamond_network, fixture, path_network
 from entcap.netmodel import (
+    Edge,
     all_bidirectional,
     is_acyclic,
     min_cut,
+    network,
     orient,
     random_network,
     topological_order,
@@ -211,6 +213,28 @@ class TestExhaustiveSearch:
         oracle = _Searcher(net, SearchConfig(alphabet_size=3), prune=False).run()
         assert (pruned.status, pruned.assignments) == ("impossible", 0)
         assert oracle.status == "impossible" and oracle.assignments > 0
+
+    def test_no_symbol_toward_a_source(self):
+        # A source reads nothing, so n's edge e into the source s2 carries 0.
+        net = network(
+            ["s1", "s2", "n", "m", "t"],
+            [
+                Edge("a", "s1", "n", 3, "uv"),
+                Edge("b", "n", "m", 2, "uv"),
+                Edge("c", "m", "t", 2, "uv"),
+                Edge("d", "n", "t", 1, "uv"),
+                Edge("e", "n", "s2", 3, "uv"),
+                Edge("f", "s2", "t", 1, "uv"),
+            ],
+            ["s1", "s2"],
+            ["t"],
+        )
+        (step,) = (s for s in _Searcher(net, SearchConfig(2)).plan.steps if s.vertex == "n")
+        e_pos = [e.id for e in net.edges].index("e")
+        assert e_pos not in [pos for pos, _ in step.outs]
+        assert step.codomain == 2
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=2))
+        assert (res.status, res.assignments) == ("witness", 8)
 
     def test_l1_always_achievable(self):
         net = oriented_path(2, 3)
