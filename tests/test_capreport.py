@@ -81,6 +81,17 @@ class TestBoundsReport:
             ("split[d5=2x2]", 6),
         ]
 
+    def test_split_diamond_beats_every_orientation(self):
+        # The (2,3,3,2,4) separation: splitting d5 as 2x2 lifts c1 from 5 to 6.
+        report = bounds_report(
+            fixture("n_d5_4"), ReportOptions(splits=(SplitSpec("d5", 2, 2),))
+        )
+        oriented = [r for r in report.c1_results if r.name.startswith("orient[")]
+        (split,) = [r for r in report.c1_results if r.name.startswith("split[")]
+        assert max(r.c1 for r in oriented) == 5
+        assert (split.directed_mc, split.c1) == (6, 6)
+        assert report.q1_lower == 6
+
     def test_scan_stops_at_directed_mc(self):
         # d5=uv reaches its directed MC of 4; l = 5 is never searched.
         report = bounds_report(fixture("n_d5_2"), ReportOptions(coding_budget=200_000))
