@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .codingsearch import BudgetExceededError, DEFAULT_BUDGET, SearchConfig, c1_exact
-from .netmodel import Network, flow_orientation, is_acyclic, min_cut, orient
+from .netmodel import Network, NetworkError, flow_orientation, is_acyclic, min_cut, orient
 from .tnrank import PrimeField, estimate_r1
 from .transforms import SplitSpec, split_cycle_edge
 
@@ -101,6 +101,10 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     Each variant's coding scan stops at its directed min-cut, which
     bounds c1 by the cut-set bound, so a c1 reaching it needs no
     impossibility search.
+
+    Raises:
+        NetworkError: no orientation is acyclic and no split was given, so
+            there is no variant to search.
     """
     est = estimate_r1(net, PrimeField(), trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
@@ -116,6 +120,8 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         # A dropped edge is a loop or touches a terminal; the split refuses it.
         split = split_cycle_edge(carrying if spec.edge_id in kept else net, spec)
         variants.append((_variant_name("split", spec), split))
+    if not variants:
+        raise NetworkError("no acyclic variant: every orientation has a directed cycle")
 
     c1_results = []
     q1_lower = 1
@@ -138,7 +144,7 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         q1_lower = max(q1_lower, c1)
 
     q1_upper = est.r1_lower if options.r1_exact else mc
-    regularized_c = max((r.directed_mc for r in c1_results), default=0)
+    regularized_c = max(r.directed_mc for r in c1_results)
     notes.append("regularized repeater and rank capacities equal the min-cut")
 
     report = CapacityReport(

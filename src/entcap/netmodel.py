@@ -220,14 +220,17 @@ def cut_value(net: Network, s_side: frozenset[str]) -> int:
 def min_cut(net: Network) -> Cut:
     """Exact multiplicative min-cut by enumeration of all vertex partitions.
 
+    A cut unit is an internal vertex together with its late partner, if
+    it has one, so a cut never separates a stage pair.  The cost is one
+    product per partition, 2**units of them; a network with more than
+    ``ENUMERATION_LIMIT`` units is refused.
+
     The witness is deterministic: among minimizers the lexicographically
     smallest source side (by sorted vertex ids) is returned.
 
     Raises:
         TooLargeError: more than ``ENUMERATION_LIMIT`` enumerable units.
     """
-    # One unit per internal vertex that is not a late stage, together
-    # with its late partner, so a cut never separates a stage pair.
     late_of = dict(net.stage_pairs)
     lates = set(late_of.values())
     units = [
@@ -239,17 +242,35 @@ def min_cut(net: Network) -> Cut:
         raise TooLargeError(
             f"{len(units)} cut units exceed the enumeration limit {ENUMERATION_LIMIT}"
         )
+    # Unit i owns bit i; the sources share one bit that every mask sets;
+    # sinks own no bit, so they are never on the source side.  An edge
+    # becomes an arc (tail and head bits, tail bit, dim) per direction it
+    # may cross in, and crosses under a mask exactly when the mask holds
+    # its tail bit and not its head bit.  Arcs that never cross (loops,
+    # edges inside one unit, out of a sink or into a source) are left out.
+    source_bit = 1 << len(units)
+    bit = dict.fromkeys(net.sinks, 0)
+    bit.update(dict.fromkeys(net.sources, source_bit))
+    for i, unit in enumerate(units):
+        bit.update(dict.fromkeys(unit, 1 << i))
+    arcs = []
+    for e in net.edges:
+        ways = [(e.tail, e.head)] if e.is_directed else [(e.u, e.v), (e.v, e.u)]
+        for tail, head in ways:
+            t, h = bit[tail], bit[head]
+            if t and h != t and h != source_bit:
+                arcs.append((t | h, t, e.dim))
     sources = net.source_set
     best = None
-    for mask in range(1 << len(units)):
-        s_side = frozenset(
-            itertools.chain(
-                sources, *(units[i] for i in range(len(units)) if mask >> i & 1)
+    for mask in range(source_bit, source_bit << 1):
+        value = prod([dim for ends, t, dim in arcs if mask & ends == t])
+        if best is None or value <= best[0]:
+            s_side = itertools.chain(
+                sources, *(unit for i, unit in enumerate(units) if mask >> i & 1)
             )
-        )
-        key = (cut_value(net, s_side), tuple(sorted(s_side)))
-        if best is None or key < best:
-            best = key
+            key = (value, tuple(sorted(s_side)))
+            if best is None or key < best:
+                best = key
     return Cut(s_side=frozenset(best[1]), value=best[0])
 
 

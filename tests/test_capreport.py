@@ -188,6 +188,26 @@ class TestEdgesThatCarryNothing:
             bounds_report(make(), ReportOptions(splits=(spec,)))
 
 
+def test_no_acyclic_variant_is_refused():
+    """a -> b and b -> a form a cycle in every orientation, and a split of
+    either is refused, so there is no variant whose c1 could be reported."""
+    net = network(
+        ["s", "a", "b", "t"],
+        [
+            Edge("sa", "s", "a", 2),
+            Edge("ab", "a", "b", 2, "uv"),
+            Edge("ba", "b", "a", 2, "uv"),
+            Edge("bt", "b", "t", 2),
+        ],
+        ["s"],
+        ["t"],
+    )
+    with pytest.raises(NetworkError, match="no acyclic variant"):
+        bounds_report(net)
+    with pytest.raises(NetworkError, match="parallel edge"):
+        bounds_report(net, ReportOptions(splits=(SplitSpec("ab", 1, 2),)))
+
+
 _BUDGET = 20_000
 
 
@@ -195,8 +215,7 @@ def _best_over_all_orientations(net):
     """(best c1, best directed MC) over every orientation of every
     undirected edge, or None when a search hits the budget.  In each
     orientation, loops and edges into a source or out of a sink carry
-    nothing and are left out; with no acyclic orientation the report's
-    empty values (1, 0) stand."""
+    nothing and are left out; with no acyclic orientation, (1, 0)."""
     undirected = [e.id for e in net.edges if not e.is_directed]
     best_c1, best_mc = 1, 0
     for dirs in itertools.product(("uv", "vu"), repeat=len(undirected)):
@@ -254,7 +273,12 @@ def test_flow_rule_matches_all_orientations(net):
     """Pointing terminal edges with the flow loses nothing: the report's
     Q1 lower end and best directed MC equal the best over all orientations."""
     oracle = _best_over_all_orientations(net)
-    report = bounds_report(net, ReportOptions(coding_budget=_BUDGET, rank_trials=1))
+    options = ReportOptions(coding_budget=_BUDGET, rank_trials=1)
+    if oracle == (1, 0):
+        with pytest.raises(NetworkError, match="no acyclic variant"):
+            bounds_report(net, options)
+        return
+    report = bounds_report(net, options)
     assume(oracle is not None)
     assume(all(r.status == "exact" for r in report.c1_results))
     assert (report.q1_lower, report.regularized_c_directed) == oracle

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, build_parser, main
-from entcap.fixtures import diamond_network, fixture, fixture_text
-from entcap.netmodel import dump_network, orient, tensor_power
+from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text
+from entcap.netmodel import Edge, dump_network, network, orient, tensor_power
+from entcap.transforms import SplitSpec, split_cycle_edge
 
 
 def _n_d5_4_two_sinks() -> str:
@@ -25,8 +26,39 @@ def _n_d5_4_two_sinks() -> str:
     return json.dumps(obj)
 
 
+def _all_uv_diamond() -> str:
+    """The (2,3,3,2,4) diamond with every edge u -> v: directed MC 4, rank 6."""
+    net = diamond_network(2, 3, 3, 2, 4)
+    return dump_network(orient(net, {e.id: "uv" for e in net.edges}))
+
+
+def _two_way_relays() -> str:
+    """s - a, a -> b, b -> a, b - t, all dim 2: every orientation has the
+    cycle a -> b -> a, and a split of either edge is refused (parallel edge)."""
+    return dump_network(
+        network(
+            ["s", "a", "b", "t"],
+            [
+                Edge("sa", "s", "a", 2),
+                Edge("ab", "a", "b", 2, "uv"),
+                Edge("ba", "b", "a", 2, "uv"),
+                Edge("bt", "b", "t", 2),
+            ],
+            ["s"],
+            ["t"],
+        )
+    )
+
+
 #: Network files that are not shipped fixtures.
-_EXTRA_FILES = {"n_d5_4_two_sinks": _n_d5_4_two_sinks()}
+_EXTRA_FILES = {
+    "n_d5_4_two_sinks": _n_d5_4_two_sinks(),
+    "all_uv_diamond": _all_uv_diamond(),
+    "n_d5_4_split_d5_2_2": dump_network(
+        split_cycle_edge(fixture("n_d5_4"), SplitSpec("d5", 2, 2))
+    ),
+    "two_way_relays": _two_way_relays(),
+}
 
 
 @pytest.fixture
@@ -50,12 +82,8 @@ _E0, _E1 = json.loads(fixture_text("path_2_3"))["edges"]
 
 
 @pytest.fixture
-def all_uv_diamond(tmp_path):
-    """The (2,3,3,2,4) diamond with every edge u -> v: directed MC 4, rank 6."""
-    net = diamond_network(2, 3, 3, 2, 4)
-    path = tmp_path / "all_uv.json"
-    path.write_text(dump_network(orient(net, {e.id: "uv" for e in net.edges})))
-    return str(path)
+def all_uv_diamond(fixture_file):
+    return fixture_file("all_uv_diamond")
 
 
 #: Network files the loader must refuse, by kind of fault.
@@ -95,6 +123,24 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+#: ``entcap mincut`` output on every shipped fixture and two derived
+#: networks: the value and the smallest sorted source side among minimizers.
+MINCUT_STDOUT = [
+    ("fig2_counterexample", 15, ["n1", "n2", "s"]),
+    ("n_d5_2", 6, ["n1", "n2", "s"]),
+    ("n_d5_3", 6, ["n1", "n2", "s"]),
+    ("n_d5_4", 6, ["n1", "n2", "s"]),
+    ("n4_split_2x2", 6, ["n1_early", "n1_late", "n2_early", "n2_late", "s"]),
+    ("n2_up", 6, ["n1_early", "n1_late", "n2_early", "n2_late", "s"]),
+    ("path_2_3", 2, ["s"]),
+    ("path_3_3", 3, ["n1", "s"]),
+    ("fig1_scaled_k2", 24, ["n1", "n2", "s"]),
+    ("fig1_scaled_k3", 54, ["n1", "n2", "s"]),
+    ("n_d5_4_split_d5_2_2", 6, ["n1_early", "n1_late", "n2_early", "n2_late", "s"]),
+    ("all_uv_diamond", 4, ["n2", "s"]),
+]
+
+
 class TestMincut:
     def test_fig2(self, capsys, fixture_file):
         code, out, _ = run(capsys, ["mincut", fixture_file("fig2_counterexample")])
@@ -102,6 +148,15 @@ class TestMincut:
         obj = json.loads(out)
         assert obj["min_cut"] == 15
         assert obj["witness"] == ["n1", "n2", "s"]
+
+    @pytest.mark.parametrize("name, value, witness", MINCUT_STDOUT)
+    def test_pinned_stdout(self, capsys, fixture_file, name, value, witness):
+        code, out, _ = run(capsys, ["mincut", fixture_file(name)])
+        assert code == EXIT_OK
+        assert out == json.dumps({"min_cut": value, "witness": witness}, indent=2) + "\n"
+
+    def test_pins_cover_every_fixture(self):
+        assert set(FIXTURE_NAMES) <= {name for name, _, _ in MINCUT_STDOUT}
 
     def test_byte_identical_reruns(self, capsys, fixture_file):
         path = fixture_file("n_d5_3")
@@ -355,6 +410,8 @@ class TestBadArguments:
             ("transform", "path_2_3", f"--op round:{10**30}"),
             # Sink-sink edges t-t2 and t2-t both point into a sink: a cycle.
             ("transform", "n_d5_4_two_sinks", "--op split:d5:2:2"),
+            # a -> b -> a in every orientation: no variant to search.
+            ("bounds", "two_way_relays", ""),
             # N past the float range.
             pytest.param("transform", "path_2_3", f"--op power:{10**400}", id="power-1e400"),
             pytest.param("transform", "path_2_3", f"--op round:-{10**400}", id="round-minus-1e400"),

@@ -1,10 +1,14 @@
+import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text, path_network
 from entcap.netmodel import (
+    ORIENTATIONS,
+    Cut,
     Edge,
     Network,
     NetworkError,
@@ -21,6 +25,7 @@ from entcap.netmodel import (
     scale,
     tensor_power,
 )
+from entcap.transforms import SplitSpec, split_cycle_edge
 
 
 def single_edge(dim):
@@ -124,6 +129,74 @@ class TestMinCut:
             net.vertices, tuple(reversed(net.edges)), net.sources, net.sinks
         )
         assert min_cut(net).value == min_cut(shuffled).value
+
+
+def oracle_min_cut(net: Network) -> Cut:
+    """Reference min-cut: a frozenset and ``cut_value`` for every partition."""
+    late_of = dict(net.stage_pairs)
+    lates = set(late_of.values())
+    units = [
+        (v, late_of[v]) if v in late_of else (v,)
+        for v in net.internal_vertices
+        if v not in lates
+    ]
+    best = None
+    for mask in range(1 << len(units)):
+        s_side = frozenset(
+            itertools.chain(
+                net.source_set, *(units[i] for i in range(len(units)) if mask >> i & 1)
+            )
+        )
+        key = (cut_value(net, s_side), tuple(sorted(s_side)))
+        if best is None or key < best:
+            best = key
+    return Cut(s_side=frozenset(best[1]), value=best[0])
+
+
+@st.composite
+def cut_networks(draw):
+    """Small multigraphs with 1-2 sources and sinks and random stage pairs.
+
+    Edges join any two vertices (loops, parallels, terminal-terminal) in
+    any orientation; dims start at 1, so many partitions tie.
+    """
+    sources = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
+    sinks = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
+    internal = [f"n{i}" for i in range(draw(st.integers(0, 7)))]
+    vertices = draw(st.permutations(sources + sinks + internal))
+    paired = draw(st.permutations(internal))
+    pairs = [paired[2 * i : 2 * i + 2] for i in range(draw(st.integers(0, len(internal) // 2)))]
+    ends = st.sampled_from(vertices)
+    edges = draw(
+        st.lists(
+            st.tuples(ends, ends, st.integers(1, 3), st.sampled_from(ORIENTATIONS)),
+            max_size=14,
+        )
+    )
+    return network(
+        vertices,
+        [Edge(f"e{i}", u, v, dim, o) for i, (u, v, dim, o) in enumerate(edges)],
+        sources,
+        sinks,
+        pairs,
+    )
+
+
+@st.composite
+def split_diamonds(draw):
+    """A diamond with its d5 split, the other edges in random orientations."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dims = [draw(st.integers(1, 4)) for _ in range(4)]
+    net = diamond_network(*dims, a * b)
+    net = split_cycle_edge(net, SplitSpec("d5", a, b))
+    turns = {e.id: draw(st.sampled_from(ORIENTATIONS)) for e in net.edges}
+    return replace(net, edges=tuple(replace(e, orientation=turns[e.id]) for e in net.edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(cut_networks() | split_diamonds())
+def test_min_cut_matches_oracle(net):
+    assert min_cut(net) == oracle_min_cut(net)
 
 
 class TestPowerAndScale:
