@@ -39,11 +39,9 @@ from .transforms import (
     RoundedPair,
     SandwichReport,
     SplitSpec,
-    TeleportReduction,
     round_networks,
     sandwich_check,
     split_cycle_edge,
-    teleport_reduce_scaled,
 )
 
 __version__ = "0.1.0"

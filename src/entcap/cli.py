@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .capreport import ReportOptions, bounds_report, report_to_obj
@@ -90,19 +89,6 @@ def _split_spec(text) -> SplitSpec:
         raise argparse.ArgumentTypeError(f"expected EDGE:a:b, got {text!r}") from exc
 
 
-def _budget(args) -> int:
-    """``--budget`` if given, else ``ENTCAP_BUDGET`` if set, else the default."""
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("ENTCAP_BUDGET")
-    if env is None:
-        return DEFAULT_BUDGET
-    try:
-        return _positive(env)
-    except argparse.ArgumentTypeError as exc:
-        raise _fail(EXIT_BAD_INPUT, f"error: ENTCAP_BUDGET: {exc}")
-
-
 def cmd_mincut(args) -> int:
     net = _read_network(args.file)
     cut = min_cut(net)
@@ -128,8 +114,8 @@ def cmd_rank(args) -> int:
 def cmd_c1(args) -> int:
     net = _read_network(args.file)
     cfg = SearchConfig(
-        alphabet_size=args.l,
-        budget=_budget(args),
+        alphabet_size=1 if args.l is None else args.l,
+        budget=args.budget,
         fix_source_bijection=args.fix_source_bijection,
     )
     try:
@@ -210,7 +196,7 @@ def cmd_bounds(args) -> int:
         splits=tuple(args.split or ()),
         rank_trials=args.trials,
         seed=args.seed,
-        coding_budget=_budget(args),
+        coding_budget=args.budget,
         r1_exact=args.r1_exact,
     )
     _emit(report_to_obj(bounds_report(net, options)))
@@ -224,9 +210,9 @@ def cmd_reproduce(args) -> int:
                 EXIT_BAD_INPUT,
                 f"error: unknown claim {args.claim!r}; known: {', '.join(CLAIMS)}",
             )
-        results = [run_claim(args.claim, budget=_budget(args), seed=args.seed)]
+        results = [run_claim(args.claim, budget=args.budget, seed=args.seed)]
     else:
-        results = run_all(budget=_budget(args), seed=args.seed)
+        results = run_all(budget=args.budget, seed=args.seed)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -236,7 +222,7 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
-_BUDGET_HELP = f"coding search assignment budget (default: ENTCAP_BUDGET, else {DEFAULT_BUDGET})"
+_BUDGET_HELP = f"coding search assignment budget (default: {DEFAULT_BUDGET})"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -266,9 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("c1", help="one-shot coding search on a directed acyclic network")
     p.add_argument("file")
-    p.add_argument("--l", type=_positive, default=1, help="alphabet size to test")
-    p.add_argument("--exact-up-to", type=_positive, default=None, help="scan for the largest achievable l")
-    p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
+    # Default None, not 1: the group only sees a flag whose value is not
+    # the default object, and a parsed 1 is the same object as a default 1.
+    scan = p.add_mutually_exclusive_group()
+    scan.add_argument("--l", type=_positive, default=None, help="alphabet size to test (default: 1)")
+    scan.add_argument("--exact-up-to", type=_positive, default=None, help="scan for the largest achievable l")
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.add_argument("--fix-source-bijection", action="store_true")
     p.set_defaults(func=cmd_c1)
 
@@ -284,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--seed", type=_non_negative, default=0)
-    p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.add_argument("--r1-exact", action="store_true", help="trust the rank estimate as exact")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
     p.add_argument("--claim", default=None)
-    p.add_argument("--budget", type=_positive, default=None, help=_BUDGET_HELP)
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_reproduce)
 

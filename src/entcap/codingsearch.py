@@ -29,7 +29,6 @@ from math import prod
 from typing import NamedTuple
 
 from .netmodel import (
-    CyclicNetworkError,  # noqa: F401 -- re-exported, raised by topological_order
     Network,
     NetworkError,
     successors,
@@ -520,14 +519,3 @@ def protocol_to_obj(pt: ProtocolTable) -> dict:
         },
     }
 
-
-def protocol_from_obj(obj: dict) -> ProtocolTable:
-    if set(obj) != {"l", "source", "nodes"}:
-        raise ProtocolError(f"bad protocol fields: {sorted(obj)}")
-    return ProtocolTable(
-        alphabet_size=obj["l"],
-        source_encoder=tuple(tuple(row) for row in obj["source"]),
-        node_functions={
-            v: tuple(spec["table"]) for v, spec in obj["nodes"].items()
-        },
-    )

@@ -403,18 +403,6 @@ def flow_orientation(net: Network, e: Edge) -> str | None:
     return None
 
 
-def all_bidirectional(net: Network) -> Network:
-    """Replace every undirected edge by two opposite directed edges of equal dim."""
-    new_edges = []
-    for e in net.edges:
-        if e.is_directed:
-            new_edges.append(e)
-        else:
-            new_edges.append(replace(e, id=e.id + ".fw", orientation="uv"))
-            new_edges.append(replace(e, id=e.id + ".bw", orientation="vu"))
-    return replace(net, edges=tuple(new_edges))
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange format
 # ---------------------------------------------------------------------------

@@ -124,8 +124,6 @@ class BoundaryMatrix:
 
     field: PrimeField
     matrix: np.ndarray
-    row_edge_ids: tuple[str, ...]
-    col_edge_ids: tuple[str, ...]
 
 
 def _boundary_slots(net: Network, terminals) -> list:
@@ -295,8 +293,10 @@ def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
     merge pairwise along shared edges in a greedy order fixed by the
     shapes (:func:`_plan_contraction`), every product going through
     :func:`matmul_mod`.  Edges between two terminals are identity
-    wiring.  Rows and columns index the boundary slots as in
-    :func:`contract_reference`, which gives the same matrix.
+    wiring.  Rows index the source slots and columns the sink slots,
+    row-major: the terminals in sorted order, and each terminal's
+    non-loop incident edges in edge-id order (an edge between two
+    sources, or two sinks, gives one slot at each end).
 
     Raises:
         TooLargeError: a tensor, an intermediate or the boundary matrix
@@ -329,74 +329,6 @@ def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
     return BoundaryMatrix(
         field=ta.field,
         matrix=np.ascontiguousarray(out.reshape(plan.rows, plan.cols)),
-        row_edge_ids=tuple(e.id for e in _boundary_slots(net, net.source_set)),
-        col_edge_ids=tuple(e.id for e in _boundary_slots(net, net.sink_set)),
-    )
-
-
-def contract_reference(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
-    """:func:`contract` by direct summation over internal edge configurations.
-
-    O(rows * cols * prod(internal dims)) Python-level steps: kept only as
-    the test oracle for :func:`contract`.
-    """
-    p = ta.field.p
-    terminal = net.terminal_set
-    internal = list(net.internal_vertices)
-    _check_assignment(net, ta)
-
-    row_slots = _boundary_slots(net, net.source_set)
-    col_slots = _boundary_slots(net, net.sink_set)
-    rows = prod(e.dim for e in row_slots)
-    cols = prod(e.dim for e in col_slots)
-
-    internal_edges = [
-        e for e in net.edges if e.u not in terminal and e.v not in terminal
-    ]
-    vertex_axes = {v: [e.id for e in tensor_axes(net, v)] for v in internal}
-    flat_tensors = {v: ta.tensors[v] for v in internal}
-
-    out = np.zeros((rows, cols), dtype=np.int64)
-    row_ranges = [range(e.dim) for e in row_slots]
-    col_ranges = [range(e.dim) for e in col_slots]
-    col_combos = list(itertools.product(*col_ranges))
-    int_configs = list(
-        itertools.product(*[range(e.dim) for e in internal_edges])
-    )
-
-    for ri, rvals in enumerate(itertools.product(*row_ranges)):
-        fixed = {}
-        ok = True
-        for e, val in zip(row_slots, rvals):
-            if fixed.setdefault(e.id, val) != val:
-                ok = False  # identity wiring between two source slots
-                break
-        if not ok:
-            continue
-        for ci, cvals in enumerate(col_combos):
-            val_map = dict(fixed)
-            ok = True
-            for e, val in zip(col_slots, cvals):
-                if val_map.setdefault(e.id, val) != val:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            acc = 0
-            for config in int_configs:
-                for e, val in zip(internal_edges, config):
-                    val_map[e.id] = val
-                term = 1
-                for v in internal:
-                    idx = tuple(val_map[eid] for eid in vertex_axes[v])
-                    term = term * int(flat_tensors[v][idx]) % p
-                acc = (acc + term) % p
-            out[ri, ci] = acc
-    return BoundaryMatrix(
-        field=ta.field,
-        matrix=out,
-        row_edge_ids=tuple(e.id for e in row_slots),
-        col_edge_ids=tuple(e.id for e in col_slots),
     )
 
 

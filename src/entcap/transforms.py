@@ -1,5 +1,5 @@
-"""Network transformations: cycle node-splitting, the scaled-network
-teleportation reduction, and the power-of-two rounding machinery.
+"""Network transformations: cycle node-splitting and the power-of-two
+rounding machinery.
 
 Splitting a length-2 cycle turns each of its endpoints into an early/late
 stage pair; the pair is one logical node with staged I/O (the late stage
@@ -104,55 +104,6 @@ def split_cycle_edge(net: Network, spec: SplitSpec) -> Network:
     if not is_acyclic(result):
         raise NetworkError("split produced a cyclic network")
     return result
-
-
-@dataclass(frozen=True)
-class TeleportReduction:
-    """Outcome of teleporting two factor-k qudits across the diamond network."""
-
-    through_rank: int
-    residual: Network
-
-
-def teleport_reduce_scaled(net: Network, k: int) -> TeleportReduction:
-    """Consume the factor-k parts of the four boundary edges by teleportation.
-
-    ``net`` must be the 4-vertex diamond (one source, one sink, two
-    relays, five edges) with every boundary dimension divisible by k;
-    this is the k-scaled family, and the middle edge is left untouched.
-    The caller may check the composition bound
-    ``R1(net) >= through_rank * R1(residual)`` downstream.
-    """
-    if k < 1:
-        raise NetworkError("k must be >= 1")
-    sources, sinks = net.source_set, net.sink_set
-    internal = net.internal_vertices
-    if len(sources) != 1 or len(sinks) != 1 or len(internal) != 2:
-        raise NetworkError("not a 4-vertex diamond network")
-    if len(net.edges) != 5:
-        raise NetworkError("diamond network must have exactly five edges")
-    (s,), (t,) = sources, sinks
-    n_a, n_b = internal
-    want = sorted(
-        [frozenset(p) for p in ((s, n_a), (s, n_b), (n_a, t), (n_b, t), (n_a, n_b))],
-        key=sorted,
-    )
-    got = sorted([frozenset((e.u, e.v)) for e in net.edges], key=sorted)
-    if got != want:
-        raise NetworkError("edges do not form the diamond shape")
-
-    middle = frozenset((n_a, n_b))
-    new_edges = []
-    for e in net.edges:
-        if frozenset((e.u, e.v)) == middle:
-            new_edges.append(e)
-        else:
-            if e.dim % k:
-                raise NetworkError(f"edge {e.id} dim {e.dim} not divisible by {k}")
-            new_edges.append(replace(e, dim=e.dim // k))
-    return TeleportReduction(
-        through_rank=k * k, residual=replace(net, edges=tuple(new_edges))
-    )
 
 
 @dataclass(frozen=True)

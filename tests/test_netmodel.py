@@ -13,7 +13,6 @@ from entcap.netmodel import (
     Network,
     NetworkError,
     TooLargeError,
-    all_bidirectional,
     cut_value,
     dump_network,
     is_acyclic,
@@ -270,11 +269,6 @@ class TestOrient:
         for dirs in itertools.product(("uv", "vu"), repeat=len(eids)):
             oriented = orient(net, dict(zip(eids, dirs)))
             assert min_cut(oriented).value <= undirected_mc
-
-    def test_bidirectional_attains_undirected(self):
-        for name in ("fig2_counterexample", "n_d5_3", "path_2_3"):
-            net = fixture(name)
-            assert min_cut(all_bidirectional(net)).value == min_cut(net).value
 
 
 class TestMergeStagePairs:

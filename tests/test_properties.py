@@ -1,12 +1,13 @@
 """Hypothesis property suites over randomly generated small networks."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from entcap.codingsearch import SearchConfig, c1_exact, exhaustive_achievable, is_valid
-from entcap.fixtures import path_network
+from entcap.fixtures import fixture, path_network
 from entcap.netmodel import (
-    all_bidirectional,
     cut_value,
     is_acyclic,
     min_cut,
@@ -27,6 +28,18 @@ def net_from_seed(seed):
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def all_bidirectional(net):
+    """Replace every undirected edge by two opposite directed edges of equal dim."""
+    edges = []
+    for e in net.edges:
+        if e.is_directed:
+            edges.append(e)
+        else:
+            edges.append(replace(e, id=e.id + ".fw", orientation="uv"))
+            edges.append(replace(e, id=e.id + ".bw", orientation="vu"))
+    return replace(net, edges=tuple(edges))
 
 
 @SUITE
@@ -81,6 +94,12 @@ def test_rank_below_mc_upper_on_directed_input(seed):
 def test_bidirectional_matches_undirected_mincut(seed):
     net = net_from_seed(seed)
     assert min_cut(all_bidirectional(net)).value == min_cut(net).value
+
+
+def test_bidirectional_attains_undirected():
+    for name in ("fig2_counterexample", "n_d5_3", "path_2_3"):
+        net = fixture(name)
+        assert min_cut(all_bidirectional(net)).value == min_cut(net).value
 
 
 @SUITE
