@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import islice, product
 from math import prod
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .netmodel import (
     Network,
@@ -126,23 +127,20 @@ def _flatten(values, dims) -> int:
     return idx
 
 
-def _unflatten(idx, dims) -> tuple:
-    out = []
-    for dim in reversed(dims):
-        out.append(idx % dim)
-        idx //= dim
-    return tuple(reversed(out))
-
-
 # ---------------------------------------------------------------------------
 # The compiled forward pass
 # ---------------------------------------------------------------------------
 
 
 class _Step(NamedTuple):
+    """One computing vertex.  A table value is the row-major index of its
+    output tuple over ``outs`` in edge-id order, so repeated ``divmod`` by
+    the dims yields the outputs last edge first: ``outs`` is stored in that
+    write order."""
+
     vertex: str
     ins: tuple  # (position, dim) of each visible in-edge, edge-id order
-    outs: tuple  # (position, dim) of each out-edge the vertex writes
+    outs: tuple  # (position, dim) of each out-edge the vertex writes, last edge id first
     codomain: int
 
 
@@ -152,8 +150,18 @@ class _Plan(NamedTuple):
 
     size: int
     source: tuple  # positions of the source out-edges
-    sink: tuple  # positions of the sink in-edges
+    read_sink: Callable  # symbol list -> tuple of the sink in-edge symbols, edge-id order
     steps: tuple  # one _Step per computing vertex, topological order
+
+
+def _tuple_reader(positions: tuple):
+    """``sym -> tuple(sym[p] for p in positions)``, compiled once."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (pos,) = positions
+        return lambda sym: (sym[pos],)
+    return lambda sym: ()
 
 
 def _compile(net: Network, order: list, outs: dict) -> _Plan:
@@ -164,12 +172,13 @@ def _compile(net: Network, order: list, outs: dict) -> _Plan:
         return tuple((pos[e.id], e.dim) for e in edges)
 
     steps = tuple(
-        _Step(v, at(visible_in_edges(net, v)), at(outs[v]), prod(e.dim for e in outs[v]))
+        _Step(v, at(visible_in_edges(net, v)), at(outs[v])[::-1], prod(e.dim for e in outs[v]))
         for v in order
         if v in outs
     )
     source = tuple(pos[e.id] for e in source_out_edges(net))
-    return _Plan(len(net.edges), source, tuple(pos[e.id] for e in sink_in_edges(net)), steps)
+    sink = _tuple_reader(tuple(pos[e.id] for e in sink_in_edges(net)))
+    return _Plan(len(net.edges), source, sink, steps)
 
 
 def _source_symbols(plan: _Plan, row) -> list:
@@ -182,7 +191,8 @@ def _source_symbols(plan: _Plan, row) -> list:
 
 def _forward(plan: _Plan, sym: list, tables, start: int = 0):
     """Run ``plan.steps[start:]`` over the symbol list ``sym``, reading
-    ``tables[v][idx]`` and writing each step's outputs into ``sym``.
+    ``tables[v][idx]`` and writing each step's outputs into ``sym`` in the
+    step's write order, by ``divmod`` over ``outs``.
 
     A step reads only source symbols and the outputs of earlier steps, so
     a pass that stopped at step k can resume: ``sym`` still holds what the
@@ -200,9 +210,9 @@ def _forward(plan: _Plan, sym: list, tables, start: int = 0):
         out = tables[v][idx]
         if out is None:
             return None, (k, idx)
-        for pos, dim in reversed(outs):
+        for pos, dim in outs:
             out, sym[pos] = divmod(out, dim)
-    return tuple(sym[pos] for pos in plan.sink), None
+    return plan.read_sink(sym), None
 
 
 # ---------------------------------------------------------------------------
@@ -349,23 +359,20 @@ class _Searcher:
         status = "witness" if found else "impossible"
         return SearchResult(status, self.witness, self.assignments)
 
-    def _choices(self, options):
-        """Yield the options to try, each counted against the budget."""
-        for option in options:
-            self.assignments += 1
-            if self.assignments > self.cfg.budget:
-                raise _Budget
-            yield option
-
     def _extend(self, m, start=0) -> bool:
         """Extend the partial protocol so messages m.. decode too; message
-        m's forward pass resumes at step ``start``."""
+        m's forward pass resumes at step ``start``.  Each encoder row and
+        each table value tried counts as one assignment against the budget."""
         if m == self.l:
             self.witness = self._build_witness()
             return True
         if self.enc[m] is None:
             after = self.enc[m - 1] if self.prune and m else None
-            for row in self._choices(self._source_rows(after)):
+            budget = self.cfg.budget
+            for row in self._source_rows(after):
+                self.assignments += 1
+                if self.assignments > budget:
+                    raise _Budget
                 self.enc[m] = row
                 self.sym[m] = _source_symbols(self.plan, row)
                 if self._extend(m):
@@ -385,9 +392,13 @@ class _Searcher:
         v, _, outs, codomain = self.plan.steps[k]
         sym = self.sym[m]
         table = self.tables[v]
-        for c in self._choices(range(codomain)):
+        budget = self.cfg.budget
+        for c in range(codomain):
+            self.assignments += 1
+            if self.assignments > budget:
+                raise _Budget
             table[idx] = out = c
-            for pos, dim in reversed(outs):
+            for pos, dim in outs:
                 out, sym[pos] = divmod(out, dim)
             if self._extend(m, k + 1):
                 return True
@@ -403,10 +414,11 @@ class _Searcher:
         }
         for v, _, live_outs, _ in self.plan.steps:
             outs = out_edges(self.net, v)
-            positions, dims = zip(*live_outs)
             table = []
-            for out_idx in self.tables[v]:
-                val = dict(zip(positions, _unflatten(out_idx or 0, dims)))
+            for out in self.tables[v]:
+                out, val = out or 0, {}
+                for p, dim in live_outs:
+                    out, val[p] = divmod(out, dim)
                 full = [val.get(pos[e.id], 0) for e in outs]
                 table.append(_flatten(full, [e.dim for e in outs]))
             node_functions[v] = tuple(table)
@@ -433,24 +445,31 @@ def exhaustive_achievable(net: Network, cfg: SearchConfig) -> SearchResult:
 def c1_exact(net: Network, l_max: int, cfg: SearchConfig | None = None) -> int:
     """Largest achievable alphabet size <= l_max.
 
-    Achievability is monotone in l (drop messages), so the scan ascends
-    and stops at the first impossible size.  A budget exhaustion raises
-    BudgetExceededError carrying the best certified value.
+    Achievability is monotone in l (drop messages), so a witness at l_max
+    alone proves the answer, and l_max is searched first.  Otherwise the
+    scan ascends from 1 and stops at the first impossible size, never
+    searching l_max again.  A budget exhaustion raises BudgetExceededError
+    carrying the best certified value.
     """
     if cfg is None:
         cfg = SearchConfig(alphabet_size=1)
+    if l_max < 1:
+        return 0
+    top = exhaustive_achievable(net, replace(cfg, alphabet_size=l_max))
+    if top.status == "witness":
+        return l_max
     best = 0
-    for l in range(1, l_max + 1):
+    for l in range(1, l_max):
         result = exhaustive_achievable(net, replace(cfg, alphabet_size=l))
         if result.status == "witness":
             best = l
         elif result.status == "impossible":
-            break
+            return best
         else:
-            raise BudgetExceededError(
-                f"budget exhausted at l={l}", best_known=best
-            )
-    return best
+            raise BudgetExceededError(f"budget exhausted at l={l}", best_known=best)
+    if top.status == "impossible":
+        return best
+    raise BudgetExceededError(f"budget exhausted at l={l_max}", best_known=best)
 
 
 # ---------------------------------------------------------------------------

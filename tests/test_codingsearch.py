@@ -1,11 +1,13 @@
 import itertools
 import json
+from dataclasses import replace
 from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from entcap import codingsearch
 from entcap.codingsearch import (
     BudgetExceededError,
     ProtocolError,
@@ -15,6 +17,7 @@ from entcap.codingsearch import (
     _compile,
     _forward,
     _source_symbols,
+    _tuple_reader,
     c1_exact,
     exhaustive_achievable,
     is_valid,
@@ -56,6 +59,16 @@ class TestSimulate:
         net = oriented_path(2, 2)
         pt = identity_path_protocol(2)
         assert [simulate(net, pt, m) for m in range(2)] == [(0,), (1,)]
+
+    def test_single_sink_edge_gives_a_1_tuple(self):
+        net = oriented_path(2, 3)
+        pt = ProtocolTable(2, ((0,), (1,)), {"n1": (2, 1)})
+        assert [simulate(net, pt, m) for m in range(2)] == [(2,), (1,)]
+
+    @pytest.mark.parametrize("positions", [(), (2,), (2, 0), (1, 2, 0)])
+    def test_tuple_reader(self, positions):
+        sym = [5, 6, 7]
+        assert _tuple_reader(positions)(sym) == tuple(sym[p] for p in positions)
 
     def test_constant_node_function(self):
         net = oriented_path(3, 3)
@@ -186,6 +199,8 @@ class TestExhaustiveSearch:
 
     # The same searches pruned: fewer assignments, the same witnesses.  A
     # pinned encoder is already sorted, so those rows do not move.
+    # The last two are the impossibility proofs that the diamond-bounds
+    # benchmark times, configured as ``bounds_report`` runs them.
     @pytest.mark.parametrize(
         "name, l, fix, expected",
         [
@@ -193,12 +208,16 @@ class TestExhaustiveSearch:
             ("n2_up", 6, True, ("impossible", 1773, None)),
             ("n4_split_2x2", 6, True, ("witness", 42, N4_L6_WITNESS)),
             ("n4_split_2x2", 6, False, ("witness", 65, N4_L6_WITNESS)),
+            ("n_d5_4:d5=vu", 6, True, ("impossible", 43_472, None)),
+            ("n_d5_2:d5=uv", 5, True, ("impossible", 9_318, None)),
         ],
     )
     def test_pinned_pruned_enumeration(self, name, l, fix, expected):
-        res = exhaustive_achievable(
-            fixture(name), SearchConfig(alphabet_size=l, fix_source_bijection=fix)
-        )
+        name, _, d5 = name.partition(":d5=")
+        net = fixture(name)
+        if d5:
+            net = orient(net, {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv", "d5": d5})
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=l, fix_source_bijection=fix))
         witness = protocol_to_obj(res.witness) if res.witness else None
         assert (res.status, res.assignments, witness) == expected
 
@@ -241,6 +260,16 @@ class TestExhaustiveSearch:
         res = exhaustive_achievable(net, SearchConfig(alphabet_size=1))
         assert res.status == "witness"
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_single_sink_edge_matches_oracle(self, l):
+        net = oriented_path(2, 3)
+        pruned = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
+        oracle = _Searcher(net, SearchConfig(alphabet_size=l), prune=False).run()
+        assert pruned.status == oracle.status == ("witness" if l <= 2 else "impossible")
+        assert _witness_json(pruned) == _witness_json(oracle)
+        if pruned.witness:
+            assert is_valid(net, pruned.witness)
+
     def test_budget_exceeded(self):
         net = fixture("n4_split_2x2")
         res = exhaustive_achievable(
@@ -248,6 +277,7 @@ class TestExhaustiveSearch:
         )
         assert res.status == "budget_exceeded"
         assert res.witness is None
+        assert res.assignments == 3 + 1
 
     def test_bad_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -338,7 +368,7 @@ def test_resumed_pass_matches_fresh_pass(protocol, data):
         step = plan.steps[k]
         out = tables[step.vertex][idx] = data.draw(st.integers(0, step.codomain - 1))
         at_k = _forward(plan, list(sym), tables, k)
-        for pos, dim in reversed(step.outs):
+        for pos, dim in step.outs:
             out, sym[pos] = divmod(out, dim)
         result = _forward(plan, sym, tables, k + 1)
         fresh = _forward(plan, _source_symbols(plan, row), tables)
@@ -370,4 +400,59 @@ class TestC1Exact:
         with pytest.raises(BudgetExceededError) as exc_info:
             c1_exact(net, 8, SearchConfig(1, budget=10, fix_source_bijection=True))
         assert 0 <= exc_info.value.best_known < 6
+
+    def test_searches_l_max_first_and_once(self, monkeypatch):
+        searched = []
+        search = codingsearch.exhaustive_achievable
+
+        def spy(net, cfg):
+            searched.append(cfg.alphabet_size)
+            return search(net, cfg)
+
+        monkeypatch.setattr(codingsearch, "exhaustive_achievable", spy)
+        # A witness at l_max ends the scan: one search of 20,100 assignments,
+        # where the ascending scan runs 200 searches.
+        assert c1_exact(oriented_path(200, 200), 200) == 200
+        assert searched == [200]
+        searched.clear()
+        assert c1_exact(oriented_path(2, 3), 3) == 2
+        assert searched == [3, 1, 2]
+        searched.clear()
+        assert c1_exact(oriented_path(2, 3), 4) == 2
+        assert searched == [4, 1, 2, 3]
+
+
+def _ascending_c1(net, l_max, cfg):
+    """The plain scan: l = 1, 2, ... up to the first impossible size."""
+    best = 0
+    for l in range(1, l_max + 1):
+        result = exhaustive_achievable(net, replace(cfg, alphabet_size=l))
+        if result.status == "witness":
+            best = l
+        elif result.status == "impossible":
+            break
+        else:
+            raise BudgetExceededError(f"budget exhausted at l={l}", best_known=best)
+    return best
+
+
+def _c1_outcome(scan, net, l_max, cfg):
+    try:
+        return "exact", scan(net, l_max, cfg)
+    except BudgetExceededError as exc:
+        return "budget_exceeded", exc.best_known, str(exc)
+
+
+@pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[name for name, _ in CORPUS])
+def test_c1_exact_matches_ascending_scan(net):
+    """Searching l_max first gives the ascending scan's value and error
+    whenever that scan finishes; where the scan runs out of budget, it may
+    only be replaced by an exact l_max."""
+    for l_max, budget, fix in itertools.product(range(7), (20, 5_000), (False, True)):
+        cfg = SearchConfig(1, budget=budget, fix_source_bijection=fix)
+        oracle = _c1_outcome(_ascending_c1, net, l_max, cfg)
+        got = _c1_outcome(c1_exact, net, l_max, cfg)
+        if oracle[0] == "budget_exceeded" and got == ("exact", l_max):
+            continue
+        assert got == oracle, (l_max, budget, fix)
 
