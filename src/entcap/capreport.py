@@ -128,11 +128,7 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     notes = []
     for name, variant in variants:
         directed_mc = min_cut(variant).value
-        cfg = SearchConfig(
-            alphabet_size=1,
-            budget=options.coding_budget,
-            fix_source_bijection=True,
-        )
+        cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
         try:
             c1 = c1_exact(variant, directed_mc, cfg)
             status = "exact"

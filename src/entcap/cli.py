@@ -113,19 +113,12 @@ def cmd_rank(args) -> int:
 
 def cmd_c1(args) -> int:
     net = _read_network(args.file)
-    cfg = SearchConfig(
-        alphabet_size=1 if args.l is None else args.l,
-        budget=args.budget,
-        fix_source_bijection=args.fix_source_bijection,
-    )
-    try:
-        if args.exact_up_to is not None:
-            value = c1_exact(net, args.exact_up_to, cfg)
-            _emit({"c1": value, "l_max": args.exact_up_to})
-            return EXIT_OK
-        result = exhaustive_achievable(net, cfg)
-    except BudgetExceededError as exc:
-        raise _fail(EXIT_BUDGET, f"error: {exc} (best known {exc.best_known})")
+    cfg = SearchConfig(alphabet_size=1 if args.l is None else args.l, budget=args.budget)
+    if args.exact_up_to is not None:
+        value = c1_exact(net, args.exact_up_to, cfg)
+        _emit({"c1": value, "l_max": args.exact_up_to})
+        return EXIT_OK
+    result = exhaustive_achievable(net, cfg)
     if result.status == "budget_exceeded":
         raise _fail(EXIT_BUDGET, "error: search budget exceeded")
     out = {
@@ -210,9 +203,9 @@ def cmd_reproduce(args) -> int:
                 EXIT_BAD_INPUT,
                 f"error: unknown claim {args.claim!r}; known: {', '.join(CLAIMS)}",
             )
-        results = [run_claim(args.claim, budget=args.budget, seed=args.seed)]
+        results = [run_claim(args.claim, seed=args.seed)]
     else:
-        results = run_all(budget=args.budget, seed=args.seed)
+        results = run_all(seed=args.seed)
     width = max(len(r.name) for r in results)
     all_ok = True
     for r in results:
@@ -258,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--l", type=_positive, default=None, help="alphabet size to test (default: 1)")
     scan.add_argument("--exact-up-to", type=_positive, default=None, help="scan for the largest achievable l")
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
-    p.add_argument("--fix-source-bijection", action="store_true")
     p.set_defaults(func=cmd_c1)
 
     p = sub.add_parser("transform", help="apply split/power/scale/round to a network")
@@ -279,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
     p.add_argument("--claim", default=None)
-    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_reproduce)
 

@@ -16,9 +16,10 @@ Two sound prunes cut the search without changing any witness.  Messages
 are interchangeable, so encoder rows must strictly increase in row-major
 order (a lex-leader symmetry break): sorting the rows of a valid protocol
 gives a valid protocol, and the first one the unpruned enumeration finds
-is already sorted.  And l above the product of the sink in-edge
-alphabets is impossible outright, since two messages would share a sink
-tuple.
+is already sorted.  When l is the number of source rows, the only such
+encoder is the canonical bijection, so the search pins it.  And l above
+the product of the sink in-edge alphabets is impossible outright, since
+two messages would share a sink tuple.
 """
 
 from __future__ import annotations
@@ -62,13 +63,21 @@ class ProtocolTable:
     late stages), value = flattened output tuple over the out-edges.
     """
 
-    alphabet_size: int
     source_encoder: tuple[tuple[int, ...], ...]
     node_functions: dict
+
+    @property
+    def alphabet_size(self) -> int:
+        return len(self.source_encoder)
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """``fix_source_bijection`` is read only by the unpruned test oracle,
+    ``_Searcher(..., prune=False)``: the pruned search pins a full-alphabet
+    encoder by itself.  Delete the field once ``perfbench/workloads.py``
+    stops passing it."""
+
     alphabet_size: int
     budget: int = DEFAULT_BUDGET
     fix_source_bijection: bool = False
@@ -222,8 +231,6 @@ def _forward(plan: _Plan, sym: list, tables, start: int = 0):
 
 def _check_protocol(net: Network, pt: ProtocolTable):
     src = source_out_edges(net)
-    if len(pt.source_encoder) != pt.alphabet_size:
-        raise ProtocolError("source encoder length differs from alphabet size")
     for row in pt.source_encoder:
         if len(row) != len(src):
             raise ProtocolError("source encoder row arity mismatch")
@@ -283,8 +290,10 @@ class _Budget(Exception):
 
 
 class _Searcher:
-    """The lazy enumeration; ``prune=False`` turns both prunes off, which
-    keeps the plain enumeration as the test oracle for the pruned one."""
+    """The lazy enumeration; ``prune=False`` turns both prunes and the
+    encoder pin off, which keeps the plain enumeration as the test oracle
+    for the pruned one.  The oracle pins the encoder only when
+    ``cfg.fix_source_bijection`` is set."""
 
     def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
         order = topological_order(net)
@@ -323,7 +332,8 @@ class _Searcher:
                     readers.add(v)
         self.plan = _compile(net, order, live)
 
-        fixed = cfg.fix_source_bijection and self.l == self.P
+        # At l = P the message-order break leaves one encoder, the canonical one.
+        fixed = self.l == self.P and (prune or cfg.fix_source_bijection)
         self.fixed_enc = list(self._source_rows()) if fixed else None
 
     def _source_rows(self, after=None):
@@ -422,11 +432,7 @@ class _Searcher:
                 full = [val.get(pos[e.id], 0) for e in outs]
                 table.append(_flatten(full, [e.dim for e in outs]))
             node_functions[v] = tuple(table)
-        return ProtocolTable(
-            alphabet_size=self.l,
-            source_encoder=tuple(self.enc),
-            node_functions=node_functions,
-        )
+        return ProtocolTable(source_encoder=tuple(self.enc), node_functions=node_functions)
 
 
 def exhaustive_achievable(net: Network, cfg: SearchConfig) -> SearchResult:
@@ -434,10 +440,10 @@ def exhaustive_achievable(net: Network, cfg: SearchConfig) -> SearchResult:
 
     Returns the lexicographically first witness under the deterministic
     lazy enumeration, ``impossible`` only after exhausting the space, or
-    ``budget_exceeded``.  With ``fix_source_bijection`` and l equal to
-    the product of source out-edge alphabets, the encoder is pinned to
-    the canonical bijection: a non-injective encoder already fails, and
-    node tables absorb any bijection by post-composition.
+    ``budget_exceeded``.  When l equals the product of the source
+    out-edge alphabets, the encoder is pinned to the canonical bijection:
+    its rows must be distinct, and the message-order break admits only
+    the increasing run of all of them.
     """
     return _Searcher(net, cfg).run()
 
@@ -449,7 +455,7 @@ def c1_exact(net: Network, l_max: int, cfg: SearchConfig | None = None) -> int:
     alone proves the answer, and l_max is searched first.  Otherwise the
     scan ascends from 1 and stops at the first impossible size, never
     searching l_max again.  A budget exhaustion raises BudgetExceededError
-    carrying the best certified value.
+    carrying the best certified value, which its message states too.
     """
     if cfg is None:
         cfg = SearchConfig(alphabet_size=1)
@@ -466,10 +472,12 @@ def c1_exact(net: Network, l_max: int, cfg: SearchConfig | None = None) -> int:
         elif result.status == "impossible":
             return best
         else:
-            raise BudgetExceededError(f"budget exhausted at l={l}", best_known=best)
+            message = f"budget exhausted at l={l} (best known {best})"
+            raise BudgetExceededError(message, best_known=best)
     if top.status == "impossible":
         return best
-    raise BudgetExceededError(f"budget exhausted at l={l_max}", best_known=best)
+    message = f"budget exhausted at l={l_max} (best known {best})"
+    raise BudgetExceededError(message, best_known=best)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +494,6 @@ def paper_protocol_n4() -> ProtocolTable:
     escape symbol 2 and n2 relays x1 received through the down edge.
     """
     return ProtocolTable(
-        alphabet_size=6,
         source_encoder=tuple((m // 3, m % 3) for m in range(6)),
         node_functions={
             # visible (d1,) -> out (d5b,): always forward x1 down
@@ -509,7 +516,6 @@ def paper_protocol_n2() -> ProtocolTable:
     survives.
     """
     return ProtocolTable(
-        alphabet_size=5,
         source_encoder=((0, 0), (0, 1), (1, 0), (1, 1), (0, 2)),
         node_functions={
             # visible (d1,) -> out (d5b,): the down edge is trivial

@@ -1,8 +1,9 @@
 """Desk-scale reproduction harness: every headline number as a named claim.
 
 Each claim recomputes a published or independently derived value from
-scratch and compares exactly.  The registry backs both the ``entcap
-reproduce`` subcommand and the acceptance test suite.
+scratch and compares exactly; its coding searches run at the default
+budget.  The registry backs both the ``entcap reproduce`` subcommand and
+the acceptance test suite.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class ClaimResult:
     seconds: float
 
 
-def _claim_mincut_exactness(budget, seed):
+def _claim_mincut_exactness(seed):
     mc_fig2 = min_cut(fixture("fig2_counterexample")).value
     family = [min_cut(diamond_network(2, 3, 3, 2, d5)).value for d5 in range(2, 11)]
     return (
@@ -53,7 +54,7 @@ def _claim_mincut_exactness(budget, seed):
     )
 
 
-def _claim_r1_gap(budget, seed):
+def _claim_r1_gap(seed):
     est = estimate_r1(fixture("fig2_counterexample"), trials=5, seed=seed)
     return (
         "R1=14 MC=15",
@@ -62,7 +63,7 @@ def _claim_r1_gap(budget, seed):
     )
 
 
-def _claim_r1_saturation(budget, seed):
+def _claim_r1_saturation(seed):
     got = {
         d5: estimate_r1(diamond_network(2, 3, 3, 2, d5), trials=3, seed=seed).r1_lower
         for d5 in (2, 3, 4)
@@ -76,12 +77,10 @@ def _claim_r1_saturation(budget, seed):
     )
 
 
-def _claim_coding_achievability(budget, seed):
+def _claim_coding_achievability(seed):
     n4s, n2u = fixture("n4_split_2x2"), fixture("n2_up")
-    r6 = exhaustive_achievable(
-        n4s, SearchConfig(alphabet_size=6, budget=budget, fix_source_bijection=True)
-    )
-    r5 = exhaustive_achievable(n2u, SearchConfig(alphabet_size=5, budget=budget))
+    r6 = exhaustive_achievable(n4s, SearchConfig(alphabet_size=6))
+    r5 = exhaustive_achievable(n2u, SearchConfig(alphabet_size=5))
     fixtures_ok = is_valid(n4s, paper_protocol_n4()) and is_valid(n2u, paper_protocol_n2())
     witnesses_ok = (
         r6.status == "witness"
@@ -96,11 +95,9 @@ def _claim_coding_achievability(budget, seed):
     )
 
 
-def _claim_coding_impossibility(budget, seed):
+def _claim_coding_impossibility(seed):
     n2u = fixture("n2_up")
-    r = exhaustive_achievable(
-        n2u, SearchConfig(alphabet_size=6, budget=budget, fix_source_bijection=True)
-    )
+    r = exhaustive_achievable(n2u, SearchConfig(alphabet_size=6))
     statuses = {("n2_up",): r.status}
     n4 = diamond_network(2, 3, 3, 2, 4)
     eids = [e.id for e in n4.edges]
@@ -110,10 +107,7 @@ def _claim_coding_impossibility(budget, seed):
         if not is_acyclic(oriented):
             continue
         n_orients += 1
-        res = exhaustive_achievable(
-            oriented,
-            SearchConfig(alphabet_size=6, budget=budget, fix_source_bijection=True),
-        )
+        res = exhaustive_achievable(oriented, SearchConfig(alphabet_size=6))
         statuses[dirs] = res.status
     all_impossible = set(statuses.values()) == {"impossible"}
     return (
@@ -123,7 +117,7 @@ def _claim_coding_impossibility(budget, seed):
     )
 
 
-def _claim_conjecture_scaled(budget, seed):
+def _claim_conjecture_scaled(seed):
     got = {}
     for k, expected in ((2, 24), (3, 54)):
         net = scale(diamond_network(2, 3, 3, 2, 2), k)
@@ -137,7 +131,7 @@ def _claim_conjecture_scaled(budget, seed):
     )
 
 
-def _claim_sandwich(budget, seed):
+def _claim_sandwich(seed):
     base = diamond_network(2, 3, 3, 2, 2)
     reports = {
         n: sandwich_check(
@@ -156,7 +150,7 @@ def _claim_sandwich(budget, seed):
     )
 
 
-def _claim_property_suite(budget, seed):
+def _claim_property_suite(seed):
     rng = np.random.Generator(np.random.PCG64(seed))
     violations = []
     for i in range(200):
@@ -173,9 +167,7 @@ def _claim_property_suite(budget, seed):
             net, {e.id: "uv" for e in net.edges if not e.is_directed}
         )
         if is_acyclic(oriented):
-            res = exhaustive_achievable(
-                oriented, SearchConfig(alphabet_size=2, budget=budget)
-            )
+            res = exhaustive_achievable(oriented, SearchConfig(alphabet_size=2))
             if res.status == "witness" and not is_valid(oriented, res.witness):
                 violations.append(f"net {i}: witness not valid")
     computed = (
@@ -196,9 +188,9 @@ CLAIMS = {
 }
 
 
-def run_claim(name: str, budget: int = 10**9, seed: int = 0) -> ClaimResult:
+def run_claim(name: str, seed: int = 0) -> ClaimResult:
     start = time.perf_counter()
-    expected, computed, passed = CLAIMS[name](budget, seed)
+    expected, computed, passed = CLAIMS[name](seed)
     return ClaimResult(
         name=name,
         expected=expected,
@@ -208,5 +200,5 @@ def run_claim(name: str, budget: int = 10**9, seed: int = 0) -> ClaimResult:
     )
 
 
-def run_all(budget: int = 10**9, seed: int = 0) -> list[ClaimResult]:
-    return [run_claim(name, budget=budget, seed=seed) for name in CLAIMS]
+def run_all(seed: int = 0) -> list[ClaimResult]:
+    return [run_claim(name, seed=seed) for name in CLAIMS]

@@ -223,7 +223,7 @@ class TestC1:
     def test_witness(self, capsys, fixture_file):
         code, out, _ = run(
             capsys,
-            ["c1", fixture_file("n4_split_2x2"), "--l", "6", "--fix-source-bijection"],
+            ["c1", fixture_file("n4_split_2x2"), "--l", "6"],
         )
         assert code == EXIT_OK
         obj = json.loads(out)
@@ -233,7 +233,7 @@ class TestC1:
     def test_exact_scan(self, capsys, fixture_file):
         code, out, _ = run(
             capsys,
-            ["c1", fixture_file("n2_up"), "--exact-up-to", "8", "--fix-source-bijection"],
+            ["c1", fixture_file("n2_up"), "--exact-up-to", "8"],
         )
         assert code == EXIT_OK
         assert json.loads(out)["c1"] == 5
@@ -248,7 +248,6 @@ class TestC1:
                 "6",
                 "--budget",
                 "3",
-                "--fix-source-bijection",
             ],
         )
         assert code == EXIT_BUDGET
@@ -259,10 +258,18 @@ class TestC1:
         monkeypatch.setenv("ENTCAP_BUDGET", "3")
         code, out, _ = run(
             capsys,
-            ["c1", fixture_file("n4_split_2x2"), "--l", "6", "--fix-source-bijection"],
+            ["c1", fixture_file("n4_split_2x2"), "--l", "6"],
         )
         assert code == EXIT_OK
         assert json.loads(out)["assignments"] == 42
+
+    def test_exhausted_scan_exits_3_with_best_known(self, capsys, fixture_file):
+        code, out, err = run(
+            capsys, ["c1", fixture_file("n2_up"), "--exact-up-to", "8", "--budget", "10"]
+        )
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: budget exhausted at l=3 (best known 2)\n"
 
     def test_table_space_past_float_range(self, capsys, tmp_path):
         # Raw table space 200^3 * 200^(200*200), far above 1e308.
@@ -389,6 +396,10 @@ class TestBadArguments:
             ("c1", "n2_up", "--l 6 --exact-up-to 3"),
             ("c1", "n2_up", "--l 1 --exact-up-to 3"),
             ("reproduce", None, "--budget x"),
+            # Knobs with one sound value are gone: the search pins a
+            # full-alphabet encoder itself, and claims run at full budget.
+            ("c1", "n2_up", "--l 6 --fix-source-bijection"),
+            ("reproduce", None, "--budget 5"),
             ("reproduce", None, "--all"),
             # Results with integers past Python's 4300-digit conversion limit.
             ("transform", "n_d5_2", "--op power:10000"),
@@ -446,7 +457,6 @@ _FLAGS = {
     "--l": _numbers,
     "--exact-up-to": _numbers,
     "--budget": _numbers,
-    "--fix-source-bijection": None,
     "--op": st.one_of(
         st.builds("{}:{}".format, st.sampled_from(["power", "scale", "round"]), _numbers),
         st.builds("split:{}:{}:{}".format, st.sampled_from(["d5", "d1", "e0"]), _numbers, _numbers),
@@ -461,10 +471,10 @@ _FLAGS = {
 _OWN_FLAGS = {
     "mincut": [],
     "rank": ["--prime", "--trials", "--seed"],
-    "c1": ["--l", "--exact-up-to", "--budget", "--fix-source-bijection"],
+    "c1": ["--l", "--exact-up-to", "--budget"],
     "transform": ["--op"],
     "bounds": ["--split", "--trials", "--seed", "--budget", "--r1-exact"],
-    "reproduce": ["--claim", "--budget", "--seed"],
+    "reproduce": ["--claim", "--seed"],
     "nope": [],
 }
 #: Every shipped data file, a directory and a missing file; the two

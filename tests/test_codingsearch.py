@@ -48,7 +48,6 @@ def oriented_path(*dims):
 
 def identity_path_protocol(dim):
     return ProtocolTable(
-        alphabet_size=dim,
         source_encoder=tuple((m,) for m in range(dim)),
         node_functions={"n1": tuple(range(dim))},
     )
@@ -62,7 +61,7 @@ class TestSimulate:
 
     def test_single_sink_edge_gives_a_1_tuple(self):
         net = oriented_path(2, 3)
-        pt = ProtocolTable(2, ((0,), (1,)), {"n1": (2, 1)})
+        pt = ProtocolTable(((0,), (1,)), {"n1": (2, 1)})
         assert [simulate(net, pt, m) for m in range(2)] == [(2,), (1,)]
 
     @pytest.mark.parametrize("positions", [(), (2,), (2, 0), (1, 2, 0)])
@@ -73,7 +72,6 @@ class TestSimulate:
     def test_constant_node_function(self):
         net = oriented_path(3, 3)
         pt = ProtocolTable(
-            alphabet_size=3,
             source_encoder=((0,), (1,), (2,)),
             node_functions={"n1": (0, 0, 0)},
         )
@@ -114,13 +112,13 @@ class TestSimulate:
 
     def test_missing_table_rejected(self):
         net = oriented_path(2, 2)
-        pt = ProtocolTable(2, ((0,), (1,)), {})
+        pt = ProtocolTable(((0,), (1,)), {})
         with pytest.raises(ProtocolError, match="missing node function"):
             simulate(net, pt, 0)
 
     def test_wrong_table_length_rejected(self):
         net = oriented_path(2, 2)
-        pt = ProtocolTable(2, ((0,), (1,)), {"n1": (0,)})
+        pt = ProtocolTable(((0,), (1,)), {"n1": (0,)})
         with pytest.raises(ProtocolError, match="rows"):
             simulate(net, pt, 0)
 
@@ -128,9 +126,7 @@ class TestSimulate:
 class TestExhaustiveSearch:
     def test_n4_split_l6_witness(self):
         net = fixture("n4_split_2x2")
-        res = exhaustive_achievable(
-            net, SearchConfig(alphabet_size=6, fix_source_bijection=True)
-        )
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=6))
         assert res.status == "witness"
         assert is_valid(net, res.witness)
 
@@ -143,9 +139,7 @@ class TestExhaustiveSearch:
     def test_n2_up_l5_witness_l6_impossible(self):
         net = fixture("n2_up")
         r5 = exhaustive_achievable(net, SearchConfig(alphabet_size=5))
-        r6 = exhaustive_achievable(
-            net, SearchConfig(alphabet_size=6, fix_source_bijection=True)
-        )
+        r6 = exhaustive_achievable(net, SearchConfig(alphabet_size=6))
         assert r5.status == "witness" and is_valid(net, r5.witness)
         assert r6.status == "impossible"
 
@@ -197,19 +191,21 @@ class TestExhaustiveSearch:
         witness = protocol_to_obj(res.witness) if res.witness else None
         assert (res.status, res.assignments, witness) == expected
 
-    # The same searches pruned: fewer assignments, the same witnesses.  A
-    # pinned encoder is already sorted, so those rows do not move.
-    # The last two are the impossibility proofs that the diamond-bounds
-    # benchmark times, configured as ``bounds_report`` runs them.
+    # The same searches pruned: fewer assignments, the same witnesses.  At
+    # l = 6, every source row, the pruned search pins the encoder whether
+    # or not the oracle's flag is set, so those rows match the flagged oracle.
+    # The two n_d5 rows are the impossibility proofs that the
+    # diamond-bounds benchmark times.
     @pytest.mark.parametrize(
         "name, l, fix, expected",
         [
             ("n2_up", 5, False, ("witness", 25, N2_L5_WITNESS)),
             ("n2_up", 6, True, ("impossible", 1773, None)),
             ("n4_split_2x2", 6, True, ("witness", 42, N4_L6_WITNESS)),
-            ("n4_split_2x2", 6, False, ("witness", 65, N4_L6_WITNESS)),
+            ("n4_split_2x2", 6, False, ("witness", 42, N4_L6_WITNESS)),
             ("n_d5_4:d5=vu", 6, True, ("impossible", 43_472, None)),
             ("n_d5_2:d5=uv", 5, True, ("impossible", 9_318, None)),
+            ("n2_up", 6, False, ("impossible", 1773, None)),
         ],
     )
     def test_pinned_pruned_enumeration(self, name, l, fix, expected):
@@ -272,9 +268,7 @@ class TestExhaustiveSearch:
 
     def test_budget_exceeded(self):
         net = fixture("n4_split_2x2")
-        res = exhaustive_achievable(
-            net, SearchConfig(alphabet_size=6, budget=3, fix_source_bijection=True)
-        )
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=6, budget=3))
         assert res.status == "budget_exceeded"
         assert res.witness is None
         assert res.assignments == 3 + 1
@@ -328,6 +322,26 @@ def test_pruned_search_matches_oracle(net):
         assert pruned.assignments <= oracle.assignments, (l, fix)
 
 
+@pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[name for name, _ in CORPUS])
+def test_full_alphabet_pin(net):
+    """At l = P, the number of source rows, the pruned search pins the
+    encoder itself: the oracle's flag changes nothing, and the pin keeps
+    the status and witness of the unpinned pruned search when that one
+    finishes, at no more assignments."""
+    l = prod(e.dim for e in source_out_edges(net))
+    runs = [
+        _Searcher(net, SearchConfig(alphabet_size=l, budget=5_000, fix_source_bijection=fix)).run()
+        for fix in (False, True)
+    ]
+    assert runs[0] == runs[1]
+    unpinned = _Searcher(net, SearchConfig(alphabet_size=l, budget=5_000))
+    unpinned.fixed_enc = None
+    oracle = unpinned.run()
+    if oracle.status != "budget_exceeded":
+        assert (runs[0].status, _witness_json(runs[0])) == (oracle.status, _witness_json(oracle))
+        assert runs[0].assignments <= oracle.assignments
+
+
 @st.composite
 def _partial_protocol(draw):
     """A compiled acyclic network, a source row and tables that are only
@@ -378,11 +392,11 @@ def test_resumed_pass_matches_fresh_pass(protocol, data):
 class TestC1Exact:
     def test_n2_up(self):
         net = fixture("n2_up")
-        assert c1_exact(net, 8, SearchConfig(1, fix_source_bijection=True)) == 5
+        assert c1_exact(net, 8) == 5
 
     def test_n4_split(self):
         net = fixture("n4_split_2x2")
-        assert c1_exact(net, 8, SearchConfig(1, fix_source_bijection=True)) == 6
+        assert c1_exact(net, 8) == 6
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (2, 2, 3)])
     def test_series_path(self, dims):
@@ -392,14 +406,15 @@ class TestC1Exact:
     def test_c1_bounded_by_directed_mincut(self):
         for name in ("n2_up", "n4_split_2x2"):
             net = fixture(name)
-            cfg = SearchConfig(1, fix_source_bijection=True)
-            assert c1_exact(net, 8, cfg) <= min_cut(net).value
+            assert c1_exact(net, 8) <= min_cut(net).value
 
     def test_budget_carries_best_known(self):
         net = fixture("n4_split_2x2")
         with pytest.raises(BudgetExceededError) as exc_info:
-            c1_exact(net, 8, SearchConfig(1, budget=10, fix_source_bijection=True))
-        assert 0 <= exc_info.value.best_known < 6
+            c1_exact(net, 8, SearchConfig(1, budget=10))
+        best = exc_info.value.best_known
+        assert 0 <= best < 6
+        assert str(exc_info.value).endswith(f"(best known {best})")
 
     def test_searches_l_max_first_and_once(self, monkeypatch):
         searched = []
@@ -432,7 +447,8 @@ def _ascending_c1(net, l_max, cfg):
         elif result.status == "impossible":
             break
         else:
-            raise BudgetExceededError(f"budget exhausted at l={l}", best_known=best)
+            message = f"budget exhausted at l={l} (best known {best})"
+            raise BudgetExceededError(message, best_known=best)
     return best
 
 
@@ -448,11 +464,11 @@ def test_c1_exact_matches_ascending_scan(net):
     """Searching l_max first gives the ascending scan's value and error
     whenever that scan finishes; where the scan runs out of budget, it may
     only be replaced by an exact l_max."""
-    for l_max, budget, fix in itertools.product(range(7), (20, 5_000), (False, True)):
-        cfg = SearchConfig(1, budget=budget, fix_source_bijection=fix)
+    for l_max, budget in itertools.product(range(7), (20, 5_000)):
+        cfg = SearchConfig(1, budget=budget)
         oracle = _c1_outcome(_ascending_c1, net, l_max, cfg)
         got = _c1_outcome(c1_exact, net, l_max, cfg)
         if oracle[0] == "budget_exceeded" and got == ("exact", l_max):
             continue
-        assert got == oracle, (l_max, budget, fix)
+        assert got == oracle, (l_max, budget)
 
