@@ -29,7 +29,7 @@ from .netmodel import (
     scale,
     tensor_power,
 )
-from .reproduce import CLAIMS, run_all, run_claim
+from .reproduce import CLAIMS, run_claim
 from .tnrank import PrimeField, estimate_r1
 from .transforms import SplitSpec, round_networks, split_cycle_edge
 
@@ -197,22 +197,13 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.claim is not None:
-        if args.claim not in CLAIMS:
-            raise _fail(
-                EXIT_BAD_INPUT,
-                f"error: unknown claim {args.claim!r}; known: {', '.join(CLAIMS)}",
-            )
-        results = [run_claim(args.claim, seed=args.seed)]
-    else:
-        results = run_all(seed=args.seed)
+    names = [args.claim] if args.claim else CLAIMS
+    results = [run_claim(name, seed=args.seed) for name in names]
     width = max(len(r.name) for r in results)
-    all_ok = True
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        all_ok &= r.passed
         print(f"{r.name:<{width}}  {status}  {r.seconds:7.2f}s  {r.computed}")
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
 _BUDGET_HELP = f"coding search assignment budget (default: {DEFAULT_BUDGET})"
@@ -270,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")
-    p.add_argument("--claim", default=None)
+    p.add_argument("--claim", choices=CLAIMS, default=None)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_reproduce)
 
@@ -281,8 +272,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

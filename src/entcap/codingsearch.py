@@ -33,9 +33,11 @@ from typing import Callable, NamedTuple
 from .netmodel import (
     Network,
     NetworkError,
+    TooLargeError,
     successors,
     topological_order,
 )
+from .tnrank import MAX_ENTRIES
 
 DEFAULT_BUDGET = 10**9
 
@@ -333,8 +335,7 @@ class _Searcher:
         self.plan = _compile(net, order, live)
 
         # At l = P the message-order break leaves one encoder, the canonical one.
-        fixed = self.l == self.P and (prune or cfg.fix_source_bijection)
-        self.fixed_enc = list(self._source_rows()) if fixed else None
+        self.fixed = self.l == self.P and (prune or cfg.fix_source_bijection)
 
     def _source_rows(self, after=None):
         """Every source symbol row in row-major (flattened-index) order,
@@ -349,17 +350,23 @@ class _Searcher:
             # Pigeonhole: two messages must share their source symbols or
             # their sink tuples; no protocol can decode.
             return SearchResult("impossible", None, 0)
+        # The encoder walks all P source rows and each live table is
+        # allocated in full: refuse a search past the array cap first.
+        rows = {step.vertex: prod(dim for _, dim in step.ins) for step in self.plan.steps}
+        largest = max([self.P, *rows.values()])
+        if largest > MAX_ENTRIES:
+            raise TooLargeError(
+                f"coding search would list {largest} source rows or table entries, "
+                f"above the limit {MAX_ENTRIES}"
+            )
         self.assignments = 0
-        self.enc = self.fixed_enc or [None] * self.l
+        self.enc = list(self._source_rows()) if self.fixed else [None] * self.l
         # One symbol list per message, written by its encoder row and its
         # forward pass; a pass resumes in place, so backtracking copies nothing.
         self.sym = [
             None if row is None else _source_symbols(self.plan, row) for row in self.enc
         ]
-        self.tables = {
-            step.vertex: [None] * prod(dim for _, dim in step.ins)
-            for step in self.plan.steps
-        }
+        self.tables = {v: [None] * n for v, n in rows.items()}
         self.seen = set()
         self.witness = None
         try:

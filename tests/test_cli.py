@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import shlex
 from importlib import resources
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, build_parser, main
 from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text
 from entcap.netmodel import Edge, dump_network, network, orient, tensor_power
+from entcap.reproduce import CLAIMS
 from entcap.transforms import SplitSpec, split_cycle_edge
 
 
@@ -50,6 +52,13 @@ def _two_way_relays() -> str:
     )
 
 
+def _huge_dims(*vertices) -> str:
+    """A directed path through ``vertices``, every edge of dim 10^19."""
+    hops = enumerate(zip(vertices, vertices[1:]))
+    edges = [Edge(f"e{i}", u, v, 10**19, "uv") for i, (u, v) in hops]
+    return dump_network(network(list(vertices), edges, [vertices[0]], [vertices[-1]]))
+
+
 #: Network files that are not shipped fixtures.
 _EXTRA_FILES = {
     "n_d5_4_two_sinks": _n_d5_4_two_sinks(),
@@ -58,6 +67,8 @@ _EXTRA_FILES = {
         split_cycle_edge(fixture("n_d5_4"), SplitSpec("d5", 2, 2))
     ),
     "two_way_relays": _two_way_relays(),
+    "st_dim_1e19": _huge_dims("s", "t"),
+    "snt_dim_1e19": _huge_dims("s", "n", "t"),
 }
 
 
@@ -411,6 +422,10 @@ class TestBadArguments:
             ("transform", "n_d5_4_two_sinks", "--op split:d5:2:2"),
             # a -> b -> a in every orientation: no variant to search.
             ("bounds", "two_way_relays", ""),
+            # 10^19 source rows, then a 10^19-row table: refused before
+            # either is allocated.
+            ("c1", "st_dim_1e19", "--l 1"),
+            ("c1", "snt_dim_1e19", "--l 1"),
             # N past the float range.
             pytest.param("transform", "path_2_3", f"--op power:{10**400}", id="power-1e400"),
             pytest.param("transform", "path_2_3", f"--op round:-{10**400}", id="round-minus-1e400"),
@@ -563,7 +578,17 @@ class TestReproduce:
         assert code == EXIT_OK
         assert "mincut-exactness" in out and "PASS" in out
 
+    def test_every_claim_prints_its_registered_line(self, capsys):
+        code, out, _ = run(capsys, ["reproduce"])
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == len(CLAIMS)
+        for line, (name, (expected, _)) in zip(lines, CLAIMS.items()):
+            got_name, status, seconds, computed = line.split(maxsplit=3)
+            assert (got_name, status, computed) == (name, "PASS", expected)
+            assert re.fullmatch(r"\d+\.\d\ds", seconds)
+
     def test_unknown_claim(self, capsys):
         code, _, err = run(capsys, ["reproduce", "--claim", "nope"])
         assert code == EXIT_BAD_INPUT
-        assert "known" in err
+        assert "invalid choice" in err

@@ -304,6 +304,18 @@ def _differential_corpus():
 
 CORPUS = _differential_corpus()
 
+#: Every diamond with dims 1..3, terminal edges u -> v and d5 either way:
+#: 288 of the 486 search past the encoder pin at l = P, and 279 of those
+#: finish unpinned within 5,000 assignments (233 witnesses, 46 impossible).
+PIN_CORPUS = [
+    (
+        "pin-" + "-".join(map(str, dims)) + "-d5" + d5,
+        orient(diamond_network(*dims), {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv", "d5": d5}),
+    )
+    for dims in itertools.product(range(1, 4), repeat=5)
+    for d5 in ("uv", "vu")
+]
+
 
 @pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[name for name, _ in CORPUS])
 def test_pruned_search_matches_oracle(net):
@@ -322,7 +334,11 @@ def test_pruned_search_matches_oracle(net):
         assert pruned.assignments <= oracle.assignments, (l, fix)
 
 
-@pytest.mark.parametrize("net", [net for _, net in CORPUS], ids=[name for name, _ in CORPUS])
+@pytest.mark.parametrize(
+    "net",
+    [net for _, net in CORPUS + PIN_CORPUS],
+    ids=[name for name, _ in CORPUS + PIN_CORPUS],
+)
 def test_full_alphabet_pin(net):
     """At l = P, the number of source rows, the pruned search pins the
     encoder itself: the oracle's flag changes nothing, and the pin keeps
@@ -335,7 +351,7 @@ def test_full_alphabet_pin(net):
     ]
     assert runs[0] == runs[1]
     unpinned = _Searcher(net, SearchConfig(alphabet_size=l, budget=5_000))
-    unpinned.fixed_enc = None
+    unpinned.fixed = False
     oracle = unpinned.run()
     if oracle.status != "budget_exceeded":
         assert (runs[0].status, _witness_json(runs[0])) == (oracle.status, _witness_json(oracle))
