@@ -51,13 +51,20 @@ def seed_text(seeds: list[int]) -> str:
     return f"{seeds[0]}-{seeds[-1]}" if len(seeds) > 1 else str(seeds[0])
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in ``checkout``: the JSON object of its last stdout line."""
+def run_bench(checkouts: dict, side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run in ``side``'s checkout: the JSON object of its last stdout line.
+
+    A run that exits non-zero ends the script with exit 1 and one line
+    naming the run, before any output file is written.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=checkout, capture_output=True, text=True, check=True,
+        cwd=checkouts[side], capture_output=True, text=True,
     )
+    if proc.returncode:
+        last = proc.stderr.strip().splitlines()[-1:] or ["no stderr"]
+        sys.exit(f"error: {side} run of {workload} seed {seed} exited {proc.returncode}: {last[0]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -77,7 +84,7 @@ def paired_runs(checkouts: dict, workload: str, seeds: list[int], seconds: float
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {}
         for side in order:
-            pair[side] = run_bench(checkouts[side], workload, seed, seconds, 0)
+            pair[side] = run_bench(checkouts, side, workload, seed, seconds, 0)
             value = pair[side]["metrics"]
             print(f"{workload} seed {seed} {side}: "
                   + ", ".join(f"{k} {m['value']:.4g}" for k, m in value.items()), file=sys.stderr)
@@ -122,7 +129,7 @@ def claim_rows(pairs: list[dict], seeds: list[int], workload: str, metric: str, 
 
 def traced_rows(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
     """Per-layer metrics of one traced run per side, those non-zero on either side."""
-    values = {side: run_bench(checkouts[side], workload, seed, seconds, 1)["metrics"] for side in SIDES}
+    values = {side: run_bench(checkouts, side, workload, seed, seconds, 1)["metrics"] for side in SIDES}
     names = [k for k in values["parent"] if any(values[s][k]["value"] for s in SIDES)]
     return {side: {k: round(values[side][k]["value"], 4) for k in names} for side in SIDES}
 

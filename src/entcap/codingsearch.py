@@ -350,10 +350,16 @@ class _Searcher:
             # Pigeonhole: two messages must share their source symbols or
             # their sink tuples; no protocol can decode.
             return SearchResult("impossible", None, 0)
-        # The encoder walks all P source rows and each live table is
-        # allocated in full: refuse a search past the array cap first.
+        # The encoder walks all P source rows, each live table is allocated
+        # in full, and a witness holds a full table for every internal
+        # vertex, dead ones included: refuse a search past the array cap
+        # first.
         rows = {step.vertex: prod(dim for _, dim in step.ins) for step in self.plan.steps}
-        largest = max([self.P, *rows.values()])
+        self.widths = {
+            v: prod(e.dim for e in visible_in_edges(self.net, v))
+            for v in self.net.internal_vertices
+        }
+        largest = max([self.P, *self.widths.values()])
         if largest > MAX_ENTRIES:
             raise TooLargeError(
                 f"coding search would list {largest} source rows or table entries, "
@@ -425,10 +431,7 @@ class _Searcher:
     def _build_witness(self) -> ProtocolTable:
         """Widen each live table to all out-edges; dead entries become 0."""
         pos = {e.id: i for i, e in enumerate(self.net.edges)}
-        node_functions = {
-            v: (0,) * prod(e.dim for e in visible_in_edges(self.net, v))
-            for v in self.net.internal_vertices
-        }
+        node_functions = {v: (0,) * n for v, n in self.widths.items()}
         for v, _, live_outs, _ in self.plan.steps:
             outs = out_edges(self.net, v)
             table = []

@@ -221,8 +221,10 @@ def min_cut(net: Network) -> Cut:
     """Exact multiplicative min-cut by enumeration of all vertex partitions.
 
     A cut unit is an internal vertex together with its late partner, if
-    it has one, so a cut never separates a stage pair.  The cost is one
-    product per partition, 2**units of them; a network with more than
+    it has one, so a cut never separates a stage pair.  All 2**units
+    partitions are visited in Gray-code order, so consecutive partitions
+    differ in one unit, and each is valued from the previous one and the
+    arcs of the one unit that moved; a network with more than
     ``ENUMERATION_LIMIT`` units is refused.
 
     The witness is deterministic: among minimizers the lexicographically
@@ -233,10 +235,12 @@ def min_cut(net: Network) -> Cut:
     """
     late_of = dict(net.stage_pairs)
     lates = set(late_of.values())
+    sources = net.source_set
+    terminals = sources.union(net.sinks)
     units = [
         (v, late_of[v]) if v in late_of else (v,)
-        for v in net.internal_vertices
-        if v not in lates
+        for v in net.vertices
+        if v not in terminals and v not in lates
     ]
     if len(units) > ENUMERATION_LIMIT:
         raise TooLargeError(
@@ -248,28 +252,53 @@ def min_cut(net: Network) -> Cut:
     # may cross in, and crosses under a mask exactly when the mask holds
     # its tail bit and not its head bit.  Arcs that never cross (loops,
     # edges inside one unit, out of a sink or into a source) are left out.
+    # Each unit lists the arcs it is an end of.  ``value`` starts as the
+    # product of the first mask, with no unit on the source side, under
+    # which exactly the arcs out of the sources cross.
     source_bit = 1 << len(units)
     bit = dict.fromkeys(net.sinks, 0)
-    bit.update(dict.fromkeys(net.sources, source_bit))
+    bit.update(dict.fromkeys(sources, source_bit))
+    touching = []
     for i, unit in enumerate(units):
         bit.update(dict.fromkeys(unit, 1 << i))
-    arcs = []
+        touching.append((1 << i, []))
+    value = 1
     for e in net.edges:
-        ways = [(e.tail, e.head)] if e.is_directed else [(e.u, e.v), (e.v, e.u)]
-        for tail, head in ways:
-            t, h = bit[tail], bit[head]
+        u, v = bit[e.u], bit[e.v]
+        if e.orientation == "uv":
+            ways = ((u, v),)
+        elif e.orientation == "vu":
+            ways = ((v, u),)
+        else:
+            ways = ((u, v), (v, u))
+        for t, h in ways:
             if t and h != t and h != source_bit:
-                arcs.append((t | h, t, e.dim))
-    sources = net.source_set
-    best = None
-    for mask in range(source_bit, source_bit << 1):
-        value = prod([dim for ends, t, dim in arcs if mask & ends == t])
-        if best is None or value <= best[0]:
+                arc = (t | h, t, e.dim)
+                if t == source_bit:
+                    value *= e.dim
+                else:
+                    touching[t.bit_length() - 1][1].append(arc)
+                if h:
+                    touching[h.bit_length() - 1][1].append(arc)
+    # Binary-reflected Gray order: step k moves the unit in position
+    # ctz(k), and position j moves 2**(units-1-j) times, so the units with
+    # the fewest arcs take the low positions.  Only the moved unit's arcs
+    # can change whether they cross.
+    touching.sort(key=lambda unit: len(unit[1]))
+    mask = source_bit
+    best = (value, tuple(sorted(sources)))
+    for k in range(1, source_bit):
+        flip, arcs = touching[(k & -k).bit_length() - 1]
+        before = prod([dim for ends, t, dim in arcs if mask & ends == t])
+        mask ^= flip
+        after = prod([dim for ends, t, dim in arcs if mask & ends == t])
+        value = value // before * after
+        if value <= best[0]:
             s_side = itertools.chain(
                 sources, *(unit for i, unit in enumerate(units) if mask >> i & 1)
             )
             key = (value, tuple(sorted(s_side)))
-            if best is None or key < best:
+            if key < best:
                 best = key
     return Cut(s_side=frozenset(best[1]), value=best[0])
 

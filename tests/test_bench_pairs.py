@@ -52,3 +52,23 @@ def test_refuses_checkouts_with_different_harness(bench_pairs, tmp_path):
                           "--claim", "w:solve_s", "--claim-seeds", "1", "--out", str(tmp_path / "out.json")])
     assert exc.value.code == 2
     assert not (tmp_path / "out.json").exists()
+
+
+def test_failed_run_exits_1_with_one_line(bench_pairs, tmp_path):
+    bench = {"run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "solve_s", "better": "lower"}]}
+    run_py = ("import sys\n"
+              "print('Traceback (most recent call last):', file=sys.stderr)\n"
+              "print('statistics.StatisticsError: fmean requires at least one data point', file=sys.stderr)\n"
+              "sys.exit(1)\n")
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        (tmp_path / side / "perfbench" / "run.py").write_text(run_py)
+    out = tmp_path / "BENCH_out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--claim", "w:solve_s", "--claim-seeds", "7", "--out", str(out)])
+    assert exc.value.code == ("error: parent run of w seed 7 exited 1: "
+                              "statistics.StatisticsError: fmean requires at least one data point")
+    assert not out.exists()

@@ -1,9 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
+import resource
 import shlex
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -59,6 +63,14 @@ def _huge_dims(*vertices) -> str:
     return dump_network(network(list(vertices), edges, [vertices[0]], [vertices[-1]]))
 
 
+def _dead_edge(dim) -> str:
+    """s -> t of dim 2 plus an edge a -> b of dim ``dim`` that no message
+    reaches: the search ignores a and b, but a witness holds a table for
+    b of ``dim`` entries."""
+    edges = [Edge("ab", "a", "b", dim, "uv"), Edge("st", "s", "t", 2, "uv")]
+    return dump_network(network(["s", "a", "b", "t"], edges, ["s"], ["t"]))
+
+
 #: Network files that are not shipped fixtures.
 _EXTRA_FILES = {
     "n_d5_4_two_sinks": _n_d5_4_two_sinks(),
@@ -69,6 +81,7 @@ _EXTRA_FILES = {
     "two_way_relays": _two_way_relays(),
     "st_dim_1e19": _huge_dims("s", "t"),
     "snt_dim_1e19": _huge_dims("s", "n", "t"),
+    "dead_edge_1e19": _dead_edge(10**19),
 }
 
 
@@ -426,6 +439,9 @@ class TestBadArguments:
             # either is allocated.
             ("c1", "st_dim_1e19", "--l 1"),
             ("c1", "snt_dim_1e19", "--l 1"),
+            # A witness would hold a 10^19-row table for the dead vertex b.
+            ("c1", "dead_edge_1e19", "--l 2"),
+            ("c1", "dead_edge_1e19", "--exact-up-to 3"),
             # N past the float range.
             pytest.param("transform", "path_2_3", f"--op power:{10**400}", id="power-1e400"),
             pytest.param("transform", "path_2_3", f"--op round:-{10**400}", id="round-minus-1e400"),
@@ -448,6 +464,30 @@ class TestBadArguments:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", ["--l 2", "--exact-up-to 3"])
+    def test_dead_vertex_table_refused_under_memory_limit(self, tmp_path, args):
+        # b's witness table would hold 10^12 entries; the child process,
+        # and only it, runs under an 800 MB address-space limit, so an
+        # allocation that slips past the guard ends in a MemoryError.
+        path = tmp_path / "dead_edge_1e12.json"
+        path.write_text(_dead_edge(10**12))
+        limit = 800 * 2**20
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from entcap.cli import main; sys.exit(main())",
+             "c1", str(path), *args.split()],
+            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+        )
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
     def test_rank_refuses_oversize_network(self, capsys, tmp_path):
         # fig2^6: node tensors of ~5.8 GB; refused before any is drawn.

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -195,6 +196,67 @@ def split_diamonds(draw):
 @settings(max_examples=400, deadline=None)
 @given(cut_networks() | split_diamonds())
 def test_min_cut_matches_oracle(net):
+    assert min_cut(net) == oracle_min_cut(net)
+
+
+def _orientation(rng) -> str:
+    return rng.choice(["undirected"] * 4 + ["uv", "vu"])
+
+
+def _repeater_chains(rng, sources, sinks, chains, pairs=0) -> Network:
+    """Parallel repeater chains, each from a random source to a random sink,
+    joined by a few cross links; dims 1..3, a third of the edges directed
+    either way.  The first ``pairs`` pairs of consecutive repeaters become
+    stage pairs."""
+    vertices, edges, repeaters = [*sources, *sinks], [], []
+
+    def link(u, v):
+        edges.append(Edge(f"e{len(edges)}", u, v, rng.randint(1, 3), _orientation(rng)))
+
+    for length in chains:
+        chain = [f"r{len(repeaters) + i}" for i in range(length)]
+        repeaters += chain
+        hops = [rng.choice(sources), *chain, rng.choice(sinks)]
+        for u, v in zip(hops, hops[1:]):
+            link(u, v)
+    for _ in range(3):
+        link(*rng.sample(repeaters, 2))
+    stage = [repeaters[2 * i : 2 * i + 2] for i in range(pairs)]
+    return network(vertices + repeaters, edges, sources, sinks, stage)
+
+
+def _random_multigraph(rng, sources, sinks, n_internal, n_edges) -> Network:
+    """Edges between any two vertices, loops and parallels included; dims
+    1..3, a third of the edges directed either way."""
+    internal = [f"n{i}" for i in range(n_internal)]
+    vertices = [*sources, *sinks, *internal]
+    rng.shuffle(vertices)
+    edges = [
+        Edge(f"e{i}", rng.choice(vertices), rng.choice(vertices), rng.randint(1, 3), _orientation(rng))
+        for i in range(n_edges)
+    ]
+    return network(vertices, edges, sources, sinks)
+
+
+def _wide_networks() -> list:
+    """Six seeded networks of 10-13 cut units, so that every position of
+    the Gray walk up to bit 12 flips."""
+    rng = random.Random(1)
+    one, two = (["s"], ["t"]), (["s0", "s1"], ["t0", "t1"])
+    return [
+        _repeater_chains(rng, *one, [13]),
+        _repeater_chains(rng, *one, [4, 4, 4]),
+        _repeater_chains(rng, *two, [3, 5, 3], pairs=1),
+        _random_multigraph(rng, *one, 11, 24),
+        _random_multigraph(rng, *two, 12, 26),
+        _random_multigraph(rng, *one, 10, 18),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_min_cut_matches_oracle_on_wide_networks(index):
+    net = _wide_networks()[index]
+    assert 10 <= len(net.internal_vertices) - len(net.stage_pairs) <= 13
     assert min_cut(net) == oracle_min_cut(net)
 
 
