@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .codingsearch import BudgetExceededError, DEFAULT_BUDGET, SearchConfig, c1_exact
 from .netmodel import Network, NetworkError, flow_orientation, is_acyclic, min_cut, orient
-from .tnrank import PrimeField, estimate_r1
+from .tnrank import PrimeField, diamond_r1, estimate_r1
 from .transforms import SplitSpec, split_cycle_edge
 
 
@@ -39,15 +39,17 @@ class ReportOptions:
     rank_trials: int = 3
     seed: int = 0
     coding_budget: int = DEFAULT_BUDGET
-    r1_exact: bool = False  # fixture knowledge: the rank estimate is the true value
 
 
 @dataclass(frozen=True)
 class CapacityReport:
+    """``q1_upper`` bounds R1, hence Q1: the exact R1 where
+    :func:`~entcap.tnrank.diamond_r1` knows it, else ``mc``.  R1 is exact
+    when the certified ``r1_lower`` meets it."""
+
     mc: int
     r1_lower: int
     r1_failure_bound: Fraction
-    r1_exact: bool
     c1_results: tuple[C1Result, ...]
     q1_lower: int
     q1_upper: int
@@ -100,7 +102,8 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     ``mc`` is the min-cut with orientations dropped (the rank's bound).
     Each variant's coding scan stops at its directed min-cut, which
     bounds c1 by the cut-set bound, so a c1 reaching it needs no
-    impossibility search.
+    impossibility search.  The Q1 upper end is the exact R1 of a diamond
+    with d5 <= 2, and ``mc`` elsewhere.
 
     Raises:
         NetworkError: no orientation is acyclic and no split was given, so
@@ -139,7 +142,8 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         c1_results.append(C1Result(name=name, directed_mc=directed_mc, c1=c1, status=status))
         q1_lower = max(q1_lower, c1)
 
-    q1_upper = est.r1_lower if options.r1_exact else mc
+    r1 = diamond_r1(est.net)
+    q1_upper = mc if r1 is None else r1
     regularized_c = max(r.directed_mc for r in c1_results)
     notes.append("regularized repeater and rank capacities equal the min-cut")
 
@@ -147,7 +151,6 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         mc=mc,
         r1_lower=est.r1_lower,
         r1_failure_bound=est.failure_bound,
-        r1_exact=options.r1_exact,
         c1_results=tuple(c1_results),
         q1_lower=q1_lower,
         q1_upper=q1_upper,
@@ -163,6 +166,7 @@ def _assert_orderings(report: CapacityReport):
         (report.q1_lower <= report.q1_upper, "q1_lower <= q1_upper"),
         (report.q1_upper <= report.mc, "q1_upper <= mc"),
         (report.r1_lower <= report.mc, "r1_lower <= mc"),
+        (report.r1_lower <= report.q1_upper, "r1_lower <= R1 upper end"),
     ]
     for r in report.c1_results:
         checks.append((r.directed_mc <= report.mc, f"{r.name}: directed mc <= mc"))
@@ -177,7 +181,7 @@ def report_to_obj(report: CapacityReport) -> dict:
         "r1": {
             "lower": report.r1_lower,
             "failure_bound": str(report.r1_failure_bound),
-            "exact": report.r1_exact,
+            "exact": report.r1_lower == report.q1_upper,
         },
         "c1": [
             {

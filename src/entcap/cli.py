@@ -190,7 +190,6 @@ def cmd_bounds(args) -> int:
         rank_trials=args.trials,
         seed=args.seed,
         coding_budget=args.budget,
-        r1_exact=args.r1_exact,
     )
     _emit(report_to_obj(bounds_report(net, options)))
     return EXIT_OK
@@ -257,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive, default=3)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
-    p.add_argument("--r1-exact", action="store_true", help="trust the rank estimate as exact")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("reproduce", help="re-derive the headline numbers")

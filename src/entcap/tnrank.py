@@ -362,6 +362,61 @@ def rank_mod_p(m: BoundaryMatrix) -> int:
     return rank
 
 
+def _pencil_blocks(m: int, n: int) -> list:
+    """Block shapes (rows, cols) of a generic m x n pencil's Kronecker form:
+    |m - n| blocks L_e (e x (e+1)), or L_e^T if m > n, whose e sum to
+    min(m, n) and differ by at most one; m regular 1 x 1 blocks if m = n."""
+    if m == n:
+        return [(1, 1)] * m
+    k = abs(m - n)
+    q, r = divmod(min(m, n), k)
+    eps = [q + 1] * r + [q] * (k - r)
+    return [(e, e + 1) if m < n else (e + 1, e) for e in eps]
+
+
+def diamond_r1(net: Network) -> int | None:
+    """The exact R1 of a diamond whose middle edge has dim at most 2, else None.
+
+    A diamond has one source s, one sink t, relays a and b, and exactly
+    the five non-loop edges s-a, s-b, a-t, b-t and a-b, read as
+    :func:`estimate_r1` ranks it.  Relay a holds matrices A_k (dim s-a x
+    dim a-t), b holds B_k, k < d5, and M = sum_k A_k (x) B_k.  For d5 = 1,
+    rank M = rank A_1 * rank B_1.  For d5 = 2, A_k -> P A_k R and B_k ->
+    Q B_k S (P, Q, R, S invertible) change M by invertible Kronecker
+    factors, so rank M depends only on the strict-equivalence classes of
+    the pencils (A_1, A_2) and (B_1, B_2).  Their generic Kronecker forms
+    (:func:`_pencil_blocks`; Gantmacher, *The Theory of Matrices*, ch. XII;
+    Demmel and Edelman, Linear Algebra Appl. 1995) are block diagonal, so
+    M is the direct sum of one product per block pair.  With L_e =
+    ([I | 0], [0 | I]), L_e (x) L_f reindexes into all-ones bidiagonal
+    "path" matrices, one per diagonal i - j, and L_e^T (x) L_f one per
+    anti-diagonal i + j, all leaning the same way; a regular block (1, mu)
+    against L_f gives L_f's pencil at mu.  A path matrix has rank
+    min(rows, cols) over any field (unit triangular leading part), so each
+    such pair has full rank; two regular blocks give 1 + mu * nu, nonzero
+    generically.  Rank is lower semicontinuous, so its maximum is taken on
+    this dense open set: R1 = sum_ij min(r_i s_j, c_i t_j) over the block
+    shapes (r_i x c_i) of a's pencil and (s_j x t_j) of b's.  It is summed
+    in integers: a rank mod p of a canonical matrix may fall below its
+    rank over Q.
+    """
+    net = merge_stage_pairs(net)
+    if len(net.sources) != 1 or len(net.sinks) != 1 or len(net.vertices) != 4:
+        return None
+    (s,), (t,), (a, b) = net.sources, net.sinks, net.internal_vertices
+    dims = {frozenset((e.u, e.v)): e.dim for e in net.edges}
+    pairs = [frozenset(p) for p in ((s, a), (a, t), (s, b), (b, t), (a, b))]
+    if len(net.edges) != 5 or dims.keys() != set(pairs):
+        return None
+    d1, d3, d2, d4, d5 = (dims[p] for p in pairs)
+    if d5 == 1:
+        return min(d1, d3) * min(d2, d4)
+    if d5 != 2:
+        return None
+    blocks_b = _pencil_blocks(d2, d4)
+    return sum(min(r * r2, c * c2) for r, c in _pencil_blocks(d1, d3) for r2, c2 in blocks_b)
+
+
 @dataclass(frozen=True)
 class R1Estimate:
     """Randomized lower bound on the one-shot tensor-network capacity.

@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from entcap import capreport
 from entcap.capreport import (
     ReportInvariantError,
     ReportOptions,
@@ -13,6 +14,7 @@ from entcap.capreport import (
 from entcap.codingsearch import BudgetExceededError, SearchConfig, c1_exact
 from entcap.fixtures import fixture, path_network
 from entcap.netmodel import Edge, NetworkError, is_acyclic, min_cut, network, orient
+from entcap.tnrank import estimate_r1
 from entcap.transforms import SplitSpec
 
 
@@ -20,7 +22,7 @@ class TestBoundsReport:
     def test_n4_point_value(self):
         report = bounds_report(
             fixture("n_d5_4"),
-            ReportOptions(splits=(SplitSpec("d5", 2, 2),), r1_exact=True),
+            ReportOptions(splits=(SplitSpec("d5", 2, 2),)),
         )
         assert report.mc == 6
         assert report.r1_lower == 6
@@ -29,7 +31,7 @@ class TestBoundsReport:
     def test_n2_interval(self):
         report = bounds_report(
             fixture("n_d5_2"),
-            ReportOptions(splits=(SplitSpec("d5", 2, 1),), r1_exact=True),
+            ReportOptions(splits=(SplitSpec("d5", 2, 1),)),
         )
         assert report.mc == 6
         assert (report.q1_lower, report.q1_upper) == (5, 6)
@@ -51,15 +53,16 @@ class TestBoundsReport:
         )
         assert report.mc == 15
         assert report.r1_lower == 14
-        assert report.q1_upper == 15  # without r1_exact the upper end is MC
+        assert report.q1_upper == 14  # the exact R1 of a d5 = 2 diamond
         assert report.q1_lower >= 1
 
-    def test_r1_exact_tightens_upper(self):
+    def test_fig2_upper_is_exact_r1(self):
         report = bounds_report(
             fixture("fig2_counterexample"),
-            ReportOptions(rank_trials=5, r1_exact=True, coding_budget=20_000),
+            ReportOptions(rank_trials=5, coding_budget=20_000),
         )
         assert report.q1_upper == 14
+        assert report_to_obj(report)["r1"]["exact"] is True
 
     def test_orientation_variants_enumerated(self):
         report = bounds_report(fixture("n_d5_2"))
@@ -288,7 +291,7 @@ class TestReportObj:
     def test_shape_and_values(self):
         report = bounds_report(
             fixture("n_d5_4"),
-            ReportOptions(splits=(SplitSpec("d5", 2, 2),), r1_exact=True),
+            ReportOptions(splits=(SplitSpec("d5", 2, 2),)),
         )
         obj = report_to_obj(report)
         assert set(obj) == {"mc", "r1", "c1", "q1", "regularized", "notes"}
@@ -306,6 +309,12 @@ class TestReportObj:
 class TestOrderings:
     def test_invariant_error_is_assertion(self):
         assert issubclass(ReportInvariantError, AssertionError)
+
+    def test_rank_above_r1_upper_end_is_refused(self, monkeypatch):
+        # An exact R1 below the certified rank can only come from a bug.
+        monkeypatch.setattr(capreport, "diamond_r1", lambda net: estimate_r1(net).r1_lower - 1)
+        with pytest.raises(ReportInvariantError, match="r1_lower <= R1 upper end"):
+            bounds_report(fixture("n_d5_2"))
 
     @pytest.mark.parametrize(
         "name", ["n_d5_2", "n_d5_3", "n_d5_4", "path_2_3", "path_3_3"]

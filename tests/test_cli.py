@@ -360,7 +360,6 @@ class TestBounds:
                 fixture_file("n_d5_4"),
                 "--split",
                 "d5:2:2",
-                "--r1-exact",
             ],
         )
         assert code == EXIT_OK
@@ -371,7 +370,7 @@ class TestBounds:
     def test_n2_interval(self, capsys, fixture_file):
         code, out, _ = run(
             capsys,
-            ["bounds", fixture_file("n_d5_2"), "--split", "d5:2:1", "--r1-exact"],
+            ["bounds", fixture_file("n_d5_2"), "--split", "d5:2:1"],
         )
         assert code == EXIT_OK
         assert json.loads(out)["q1"] == {"lower": 5, "upper": 6}
@@ -379,7 +378,7 @@ class TestBounds:
     @pytest.mark.parametrize("name, c1", [("n2_up", 5), ("n4_split_2x2", 6)])
     def test_staged_fixture_rank_is_trusted(self, capsys, fixture_file, name, c1):
         # A stage pair is ranked as one tensor, so R1 = MC = 6 >= c1.
-        code, out, err = run(capsys, ["bounds", fixture_file(name), "--r1-exact"])
+        code, out, err = run(capsys, ["bounds", fixture_file(name)])
         assert code == EXIT_OK, err
         obj = json.loads(out)
         assert (obj["mc"], obj["r1"]["lower"], obj["c1"][0]["c1"]) == (6, 6, c1)
@@ -407,6 +406,8 @@ class TestBadArguments:
             ("bounds", "path_2_3", "--trials 0"),
             # One orientation rule: terminal edges point with the flow.
             ("bounds", "n_d5_2", "--full-orientations"),
+            # Whether R1 is exact is worked out from the network, not set.
+            ("bounds", "n_d5_2", "--r1-exact"),
             ("c1", "n2_up", "--l 0"),
             ("c1", "n2_up", "--l -3"),
             ("c1", "n2_up", "--budget 0"),
@@ -518,7 +519,6 @@ _FLAGS = {
         st.sampled_from(["", "split", "power:", "nope:1"]),
     ),
     "--split": st.builds("{}:{}:{}".format, st.sampled_from(["d5", "d3"]), _numbers, _numbers),
-    "--r1-exact": None,
     "--claim": st.sampled_from(["mincut-exactness", "r1-gap", "sandwich", "nope"]),
     "--nope": None,
 }
@@ -528,7 +528,7 @@ _OWN_FLAGS = {
     "rank": ["--prime", "--trials", "--seed"],
     "c1": ["--l", "--exact-up-to", "--budget"],
     "transform": ["--op"],
-    "bounds": ["--split", "--trials", "--seed", "--budget", "--r1-exact"],
+    "bounds": ["--split", "--trials", "--seed", "--budget"],
     "reproduce": ["--claim", "--seed"],
     "nope": [],
 }

@@ -13,6 +13,7 @@ from entcap.netmodel import (
     TooLargeError,
     incident_edges,
     network,
+    orient,
     random_network,
     scale,
     tensor_power,
@@ -23,6 +24,7 @@ from entcap.tnrank import (
     PrimeField,
     TensorAssignment,
     contract,
+    diamond_r1,
     estimate_r1,
     matmul_mod,
     random_assignment,
@@ -455,3 +457,83 @@ class TestEstimateR1:
         net, ta = r1_witness_n2()
         assert rank_mod_p(contract(net, ta)) == 6
 
+
+def _rank_over_q(rows) -> int:
+    """Exact rank over Q by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][col] / m[rank][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def _kron(a, b):
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def _canonical_blocks():
+    """(name, A1, A2) for L_e and L_e^T, e = 1..4, and regular 1 x 1 blocks (1, mu)."""
+    blocks = []
+    for e in range(1, 5):
+        a1 = [[int(j == i) for j in range(e + 1)] for i in range(e)]
+        a2 = [[int(j == i + 1) for j in range(e + 1)] for i in range(e)]
+        blocks.append((f"L{e}", a1, a2))
+        blocks.append((f"L{e}T", [list(c) for c in zip(*a1)], [list(c) for c in zip(*a2)]))
+    for mu in (0, 1, -1, 2, Fraction(3, 7)):
+        blocks.append((f"reg{mu}", [[1]], [[mu]]))
+    return blocks
+
+
+class TestDiamondR1:
+    def test_pair_lemma_over_q(self):
+        # Each canonical block pair's A1 (x) B1 + A2 (x) B2 has full rank;
+        # two regular blocks (1, mu), (1, nu) give 1 + mu * nu.
+        blocks = _canonical_blocks()
+        for (na, a1, a2), (nb, b1, b2) in itertools.product(blocks, repeat=2):
+            m = [
+                [x + y for x, y in zip(r1, r2)]
+                for r1, r2 in zip(_kron(a1, b1), _kron(a2, b2))
+            ]
+            if na.startswith("reg") and nb.startswith("reg"):
+                expected = int(m[0][0] != 0)
+            else:
+                expected = min(len(m), len(m[0]))
+            assert _rank_over_q(m) == expected, (na, nb)
+
+    def test_matches_estimate_on_small_diamonds(self):
+        for d1, d2, d3, d4 in itertools.product(range(1, 5), repeat=4):
+            for d5 in (1, 2):
+                net = diamond_network(d1, d2, d3, d4, d5)
+                est = estimate_r1(net, trials=2, seed=1)
+                assert diamond_r1(net) == est.r1_lower, (d1, d2, d3, d4, d5)
+
+    def test_orientations_ignored(self):
+        net = fixture("fig2_counterexample")
+        assert diamond_r1(orient(net, {e.id: "vu" for e in net.edges})) == 14
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            fixture("path_2_3"),
+            fixture("n_d5_3"),
+            # Their stage pairs merge into relays joined by two parallel edges.
+            fixture("n4_split_2x2"),
+            fixture("n2_up"),
+            network(
+                ["s", "n1", "n2", "t"],
+                [*diamond_network(2, 3, 3, 2, 2).edges, Edge("st", "s", "t", 2)],
+                ["s"],
+                ["t"],
+            ),
+        ],
+        ids=["path_2_3", "n_d5_3", "n4_split_2x2", "n2_up", "diamond_plus_st"],
+    )
+    def test_none_off_the_shape(self, net):
+        assert diamond_r1(net) is None
