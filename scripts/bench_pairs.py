@@ -16,8 +16,9 @@ runs both sides on seed i, the parent first in even pairs and the change
 first in odd ones, so that a drift of the host over the session falls on
 both sides alike.  The claimed workload
 runs on the claim seeds, every other workload on the other seeds.  With
-``--trace-workloads``, one ``--trace 1`` run per side and workload, on
-seed 1, adds the per-layer metrics that either side reports as non-zero.
+``--trace-workloads``, two ``--trace 1`` runs per side and workload, on
+seed 1 and in the order parent, change, change, parent, add each side's
+mean of the per-layer metrics that either side reports as non-zero.
 
 Each metric is summarised by its runs, median and quartiles (inclusive
 method); the claim adds how many pairs the change wins, the ratio and
@@ -127,11 +128,24 @@ def claim_rows(pairs: list[dict], seeds: list[int], workload: str, metric: str, 
     }
 
 
+def mean2(a: float, b: float) -> float:
+    """The mean of two runs' values; equal values are kept as they are, so counts stay integers."""
+    return a if a == b else (a + b) / 2
+
+
 def traced_rows(checkouts: dict, workload: str, seed: int, seconds: float) -> dict:
-    """Per-layer metrics of one traced run per side, those non-zero on either side."""
-    values = {side: run_bench(checkouts, side, workload, seed, seconds, 1)["metrics"] for side in SIDES}
-    names = [k for k in values["parent"] if any(values[s][k]["value"] for s in SIDES)]
-    return {side: {k: round(values[side][k]["value"], 4) for k in names} for side in SIDES}
+    """Per-layer metrics of two traced runs per side, those non-zero on either side.
+
+    The runs go parent, change, change, parent, so that a steady drift
+    of the host falls on both sides alike, and each side reports the
+    mean of its two runs.
+    """
+    runs = {side: [] for side in SIDES}
+    for side in (*SIDES, *SIDES[::-1]):
+        runs[side].append(run_bench(checkouts, side, workload, seed, seconds, 1)["metrics"])
+    values = {side: {k: mean2(a[k]["value"], b[k]["value"]) for k in a} for side, (a, b) in runs.items()}
+    names = [k for k in values["parent"] if any(values[s][k] for s in SIDES)]
+    return {side: {k: round(values[side][k], 4) for k in names} for side in SIDES}
 
 
 def machine() -> dict:
@@ -202,9 +216,11 @@ def main(argv=None) -> int:
         }
     if args.trace_workloads:
         out["per_layer_trace1"] = {
-            "note": f"one --trace 1 run per side and workload, seed {TRACE_SEED}; self times are "
-                    "raw seconds of one traced pass (median over traced passes); metrics that read 0 "
-                    "on both sides are left out",
+            "note": f"two --trace 1 runs per side and workload, seed {TRACE_SEED}, in the order "
+                    "parent, change, change, parent; each value is the mean of a side's two runs "
+                    "(a metric equal in both keeps its value); self times are raw seconds of one "
+                    "traced pass (median over traced passes); metrics that read 0 on both sides "
+                    "are left out",
             **{w: traced_rows(checkouts, w, TRACE_SEED, seconds) for w in args.trace_workloads},
         }
     args.out.write_text(json.dumps(out, indent=2) + "\n")

@@ -33,7 +33,6 @@ from .codingsearch import (
     c1_exact,
     exhaustive_achievable,
     is_valid,
-    simulate,
 )
 from .transforms import (
     RoundedPair,

@@ -58,17 +58,18 @@ class CapacityReport:
 
 
 def _carrying(net: Network) -> Network:
-    """The network without the edges that can carry no message: loops,
-    edges between two sources or two sinks, and edges directed into a
-    source or out of a sink.  No directed cut or coding value changes, and
-    a cycle of what is left can only run through internal vertices."""
+    """The network without the edges that can carry no message, those with
+    no arc of :attr:`~entcap.netmodel.Edge.arcs` from a non-sink to
+    another non-source vertex: loops, edges between two sources or two
+    sinks, and edges directed into a source or out of a sink.  No directed
+    cut or coding value changes, and a cycle of what is left can only run
+    through internal vertices."""
     sources, sinks = net.source_set, net.sink_set
-
-    def carries(e) -> bool:  # some direction it may take leaves a non-sink for a non-source
-        ways = [(e.tail, e.head)] if e.is_directed else [(e.u, e.v), (e.v, e.u)]
-        return any(a != b and a not in sinks and b not in sources for a, b in ways)
-
-    edges = tuple(e for e in net.edges if carries(e))
+    edges = tuple(
+        e
+        for e in net.edges
+        if any(t != h and t not in sinks and h not in sources for t, h in e.arcs)
+    )
     return net if len(edges) == len(net.edges) else replace(net, edges=edges)
 
 

@@ -1,4 +1,4 @@
-"""One-shot classical network coding: simulation and exhaustive search.
+"""One-shot classical network coding: protocol validation and exhaustive search.
 
 A protocol is a source encoder plus one function table per internal
 vertex; a decoder exists iff the end-to-end map from messages to sink
@@ -227,7 +227,7 @@ def _forward(plan: _Plan, sym: list, tables, start: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# Simulation
+# Validation
 # ---------------------------------------------------------------------------
 
 
@@ -258,22 +258,13 @@ def _protocol_plan(net: Network, pt: ProtocolTable) -> _Plan:
     return _compile(net, order, {v: out_edges(net, v) for v in net.internal_vertices})
 
 
-def simulate(net: Network, pt: ProtocolTable, message: int) -> tuple:
-    """Run one message through the protocol; returns the sink symbol tuple.
-
-    Sink-incident symbols are reported in edge-id order.  Sink out-edges
-    carry the constant 0 (nothing downstream of a sink can reach it again
-    in an acyclic network).
-    """
-    plan = _protocol_plan(net, pt)
-    if not 0 <= message < pt.alphabet_size:
-        raise ProtocolError(f"message {message} outside alphabet")
-    sym = _source_symbols(plan, pt.source_encoder[message])
-    return _forward(plan, sym, pt.node_functions)[0]
-
-
 def is_valid(net: Network, pt: ProtocolTable) -> bool:
-    """True iff message -> sink tuple is injective (a decoder exists)."""
+    """True iff message -> sink tuple is injective (a decoder exists).
+
+    A sink tuple lists the sink-incident symbols in edge-id order.  Sink
+    out-edges carry the constant 0 (nothing downstream of a sink can
+    reach it again in an acyclic network).
+    """
     plan = _protocol_plan(net, pt)
     tuples = {
         _forward(plan, _source_symbols(plan, row), pt.node_functions)[0]

@@ -74,6 +74,16 @@ class Edge:
             return self.u
         raise NetworkError(f"edge {self.id} is undirected")
 
+    @property
+    def arcs(self) -> tuple[tuple[str, str], ...]:
+        """The (tail, head) pairs the edge may carry along: one for a
+        directed edge, both ways for an undirected one."""
+        if self.orientation == "uv":
+            return ((self.u, self.v),)
+        if self.orientation == "vu":
+            return ((self.v, self.u),)
+        return ((self.u, self.v), (self.v, self.u))
+
     def other(self, vertex: str) -> str:
         if vertex == self.u:
             return self.v
@@ -193,24 +203,13 @@ def incident_edges(net: Network, vertex: str) -> list[Edge]:
 
 
 def crossing_edges(net: Network, s_side: frozenset[str]) -> list[Edge]:
-    """Edges contributing to the cut value of the partition ``s_side``.
-
-    Undirected edges count whenever they cross; directed edges only when
-    oriented from the source side to the sink side.  Self-loops never
-    cross.
+    """Edges contributing to the cut value of the partition ``s_side``:
+    those with an arc of :attr:`Edge.arcs` from the source side to the
+    sink side.  Self-loops never cross.
     """
-    out = []
-    for e in net.edges:
-        if e.is_self_loop:
-            continue
-        inu, inv = e.u in s_side, e.v in s_side
-        if inu == inv:
-            continue
-        if not e.is_directed:
-            out.append(e)
-        elif e.tail in s_side:
-            out.append(e)
-    return out
+    return [
+        e for e in net.edges if any(t in s_side and h not in s_side for t, h in e.arcs)
+    ]
 
 
 def cut_value(net: Network, s_side: frozenset[str]) -> int:
@@ -248,8 +247,8 @@ def min_cut(net: Network) -> Cut:
         )
     # Unit i owns bit i; the sources share one bit that every mask sets;
     # sinks own no bit, so they are never on the source side.  An edge
-    # becomes an arc (tail and head bits, tail bit, dim) per direction it
-    # may cross in, and crosses under a mask exactly when the mask holds
+    # becomes an arc (tail and head bits, tail bit, dim) per pair of
+    # ``Edge.arcs``, and crosses under a mask exactly when the mask holds
     # its tail bit and not its head bit.  Arcs that never cross (loops,
     # edges inside one unit, out of a sink or into a source) are left out.
     # Each unit lists the arcs it is an end of.  ``value`` starts as the
@@ -264,14 +263,8 @@ def min_cut(net: Network) -> Cut:
         touching.append((1 << i, []))
     value = 1
     for e in net.edges:
-        u, v = bit[e.u], bit[e.v]
-        if e.orientation == "uv":
-            ways = ((u, v),)
-        elif e.orientation == "vu":
-            ways = ((v, u),)
-        else:
-            ways = ((u, v), (v, u))
-        for t, h in ways:
+        for t, h in e.arcs:
+            t, h = bit[t], bit[h]
             if t and h != t and h != source_bit:
                 arc = (t | h, t, e.dim)
                 if t == source_bit:
@@ -529,19 +522,20 @@ def load_network(text: str) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def random_network(rng, max_internal: int = 4, max_dim: int = 4) -> Network:
-    """Draw a small random network (single source/sink, <= 6 vertices).
+def random_network(rng) -> Network:
+    """Draw a small random network: one source, one sink, at most 4
+    internal vertices and dimensions at most 4.
 
     ``rng`` is a numpy Generator.  Edge counts are kept modest so that the
     tensor-network boundary spaces stay desk-sized.
     """
-    n_internal = int(rng.integers(0, max_internal + 1))
+    n_internal = int(rng.integers(0, 5))
     internal = [f"n{i}" for i in range(1, n_internal + 1)]
     vertices = ["s", *internal, "t"]
     edges = []
 
     def add(u, v):
-        dim = int(rng.integers(1, max_dim + 1))
+        dim = int(rng.integers(1, 5))
         edges.append(Edge(id=f"e{len(edges)}", u=u, v=v, dim=dim))
 
     # A guaranteed source->sink route so the boundary map is never trivial.

@@ -10,19 +10,20 @@ intra-node edge is ever materialized and min-cut values stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .netmodel import (
     Edge,
     Network,
     NetworkError,
     crossing_edges,
+    drop_orientations,
     flow_orientation,
     is_acyclic,
     min_cut,
     network,
     tensor_power,
 )
+from .tnrank import estimate_r1
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,7 @@ class RoundedPair:
 
     lower: Network
     upper: Network
+    mc_lower: int  # min-cut value of the lower network
     c1: int  # crossing-edge count of the lower network's min-cut witness
     c2: int  # crossing-edge count of the n-th power's min-cut witness
 
@@ -124,7 +126,12 @@ def _round_dim(dim: int, n: int) -> tuple[int, int]:
 
 
 def round_networks(net: Network, n: int) -> RoundedPair:
-    """Bracket every dimension of N^(boxtimes n) by adjacent powers of two."""
+    """Bracket every dimension of N^(boxtimes n) by adjacent powers of two.
+
+    ``c2`` is read off the min-cut of ``net`` itself: a cut of N^(boxtimes n)
+    is valued as the same cut of N raised to the n-th power, so the two
+    min-cuts have the same witness, and the power is never built.
+    """
     if n < 1:
         raise NetworkError("n must be >= 1")
     lows, highs = [], []
@@ -134,10 +141,10 @@ def round_networks(net: Network, n: int) -> RoundedPair:
         highs.append(replace(e, dim=high))
     lower = replace(net, edges=tuple(lows))
     upper = replace(net, edges=tuple(highs))
-    c1 = len(crossing_edges(lower, min_cut(lower).s_side))
-    powered = tensor_power(net, n)
-    c2 = len(crossing_edges(powered, min_cut(powered).s_side))
-    return RoundedPair(lower=lower, upper=upper, c1=c1, c2=c2)
+    cut = min_cut(lower)
+    c1 = len(crossing_edges(lower, cut.s_side))
+    c2 = len(crossing_edges(net, min_cut(net).s_side))
+    return RoundedPair(lower=lower, upper=upper, mc_lower=cut.value, c1=c1, c2=c2)
 
 
 @dataclass(frozen=True)
@@ -153,27 +160,26 @@ class SandwichReport:
     ok: bool
 
 
-def sandwich_check(
-    net: Network, n: int, rank_estimator: Callable[[Network], int]
-) -> SandwichReport:
+def sandwich_check(net: Network, n: int, seed: int) -> SandwichReport:
     """Evaluate MC(N_l) <= R1-est(N^boxtimes n) <= MC(N_u) plus the 2^(+-c) bounds.
 
-    All comparisons are exact integer comparisons; the 2^-c1 bound is
-    checked as MC(N^boxtimes n) <= R1 * 2^c1.
+    The rank ignores orientations, so every network here is cut with its
+    orientations dropped.  R1 and MC(N^boxtimes n) both come from one
+    :func:`~entcap.tnrank.estimate_r1` call (3 trials from ``seed``), and
+    no network is cut twice.  All comparisons are exact integer
+    comparisons; the 2^-c1 bound is checked as MC(N^boxtimes n) <= R1 * 2^c1.
     """
-    pair = round_networks(net, n)
-    powered = tensor_power(net, n)
-    mc_lower = min_cut(pair.lower).value
+    est = estimate_r1(tensor_power(net, n), trials=3, seed=seed)
+    pair = round_networks(drop_orientations(net), n)
+    r1, mc_power = est.r1_lower, est.mc_upper
     mc_upper = min_cut(pair.upper).value
-    mc_power = min_cut(powered).value
-    r1 = rank_estimator(powered)
     ok = (
-        mc_lower <= r1 <= mc_upper
+        pair.mc_lower <= r1 <= mc_upper
         and mc_power <= r1 * 2**pair.c1
         and r1 <= mc_power * 2**pair.c2
     )
     return SandwichReport(
-        mc_lower=mc_lower,
+        mc_lower=pair.mc_lower,
         r1_estimate=r1,
         mc_upper=mc_upper,
         mc_power=mc_power,

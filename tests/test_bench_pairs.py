@@ -72,3 +72,25 @@ def test_failed_run_exits_1_with_one_line(bench_pairs, tmp_path):
     assert exc.value.code == ("error: parent run of w seed 7 exited 1: "
                               "statistics.StatisticsError: fmean requires at least one data point")
     assert not out.exists()
+
+
+def test_traced_rows_average_runs_taken_parent_change_change_parent(bench_pairs, tmp_path):
+    counter = tmp_path / "calls"
+    counter.write_text("0")
+    # Each run prints a metric equal to the number of runs so far, as a drifting host would.
+    run_py = (
+        "import json, pathlib\n"
+        f"counter = pathlib.Path({str(counter)!r})\n"
+        "calls = int(counter.read_text()) + 1\n"
+        "counter.write_text(str(calls))\n"
+        "print(json.dumps({'metrics': {'m': {'value': calls}, 'exact': {'value': 7}, 'zero': {'value': 0}}}))\n"
+    )
+    checkouts = {}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "run.py").write_text(run_py)
+        checkouts[side] = tmp_path / side
+    rows = bench_pairs.traced_rows(checkouts, "w", 1, 1)
+    assert rows == {"parent": {"m": 2.5, "exact": 7}, "change": {"m": 2.5, "exact": 7}}
+    assert isinstance(rows["parent"]["exact"], int)
+    assert counter.read_text() == "4"

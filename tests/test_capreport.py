@@ -46,7 +46,7 @@ class TestBoundsReport:
 
     # The counterexample's coding scans are deliberately budget-limited:
     # its alphabet runs to 15 and exhausting that space is out of desk scale.
-    def test_fig2_gap_visible(self):
+    def test_fig2_upper_is_exact_r1(self):
         report = bounds_report(
             fixture("fig2_counterexample"),
             ReportOptions(rank_trials=5, coding_budget=20_000),
@@ -55,13 +55,6 @@ class TestBoundsReport:
         assert report.r1_lower == 14
         assert report.q1_upper == 14  # the exact R1 of a d5 = 2 diamond
         assert report.q1_lower >= 1
-
-    def test_fig2_upper_is_exact_r1(self):
-        report = bounds_report(
-            fixture("fig2_counterexample"),
-            ReportOptions(rank_trials=5, coding_budget=20_000),
-        )
-        assert report.q1_upper == 14
         assert report_to_obj(report)["r1"]["exact"] is True
 
     def test_orientation_variants_enumerated(self):

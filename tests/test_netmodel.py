@@ -52,6 +52,18 @@ class TestValidate:
         with pytest.raises(NetworkError, match="empty source"):
             network(["s", "t"], [], [], ["t"])
 
+    @pytest.mark.parametrize(
+        "u, v, orientation, arcs",
+        [
+            ("a", "b", "uv", (("a", "b"),)),
+            ("a", "b", "vu", (("b", "a"),)),
+            ("a", "b", "undirected", (("a", "b"), ("b", "a"))),
+            ("a", "a", "undirected", (("a", "a"), ("a", "a"))),
+        ],
+    )
+    def test_edge_arcs(self, u, v, orientation, arcs):
+        assert Edge("e", u, v, 2, orientation).arcs == arcs
+
 
 class TestMinCut:
     def test_fig2_counterexample(self):

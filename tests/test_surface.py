@@ -1,11 +1,14 @@
-"""Surface guard: every public top-level name of ``src/entcap`` is read
-somewhere other than its own definition.
+"""Surface guards over ``src/entcap``: every public top-level name is
+read somewhere other than its own definition, and every defaulted
+parameter of a public function or field of a public dataclass is set
+somewhere.
 
 A read is a name, an attribute or an import in another ``src/entcap``
-module, elsewhere in the defining module, in a ``perfbench/`` or
-``scripts/`` file, or an import into ``entcap/__init__.py``.  Tests do
-not count, and neither does text inside strings: a helper that only a
-test calls belongs in the tests.
+module, elsewhere in the defining module, or in a ``perfbench/`` or
+``scripts/`` file.  An import into ``entcap/__init__.py`` does not
+count, nor do tests or text inside strings: a helper that only a test
+calls belongs in the tests, and a knob that only a test turns has one
+sound value.
 """
 
 import ast
@@ -13,8 +16,14 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "entcap"
-READERS = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = MODULES + sorted((ROOT / "perfbench").glob("*.py"))
 READERS += sorted((ROOT / "scripts").glob("*.py"))
+
+#: Defaulted parameters that nothing in the readers sets, with the reason.
+UNSET_ALLOWED = {
+    "cli.main.argv": "the tests' hook; the console script leaves it None",
+}
 
 
 def _public_definitions(tree):
@@ -55,7 +64,7 @@ def unread_public_names():
     reads = {path: _reads(tree) for path, tree in trees.items()}
     culprits = []
     for path, tree in trees.items():
-        if path.parent != PACKAGE or path.name == "__init__.py":
+        if path not in MODULES:
             continue
         elsewhere = set().union(*(r for p, r in reads.items() if p != path))
         for name, node in _public_definitions(tree):
@@ -67,3 +76,70 @@ def unread_public_names():
 def test_every_public_name_is_read():
     culprits = unread_public_names()
     assert not culprits, "read nowhere outside their definitions: " + ", ".join(culprits)
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _knobs(tree):
+    """(owner, parameter, position) for each defaulted parameter of a public
+    top-level function and each defaulted field of a public dataclass;
+    a keyword-only parameter has no position."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+        elif (
+            isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_")
+            and _is_dataclass(node)
+        ):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield node.name, f.target.id, i
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names) for each call in
+    ``tree``.  A ``*args`` counts as setting every position, and a
+    ``**kwargs`` shows as the keyword name None."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = float("inf") if starred else len(node.args)
+            yield callee, count, {k.arg for k in node.keywords}
+
+
+def unset_knobs():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+    culprits = []
+    for path in MODULES:
+        for owner, name, position in _knobs(trees[path]):
+            key = f"{path.stem}.{owner}.{name}"
+            is_set = any(
+                callee == owner
+                and (name in names or None in names or position is not None and position < count)
+                for callee, count, names in calls
+            )
+            if not is_set and key not in UNSET_ALLOWED:
+                culprits.append(key)
+    return culprits
+
+
+def test_every_knob_is_set():
+    culprits = unset_knobs()
+    assert not culprits, "defaulted but never set outside tests: " + ", ".join(culprits)

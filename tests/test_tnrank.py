@@ -204,7 +204,7 @@ def small_networks(draw):
     kind = draw(st.sampled_from(["random", "multigraph", "split"]))
     if kind == "random":
         seed = draw(st.integers(0, 2**32 - 1))
-        net = random_network(np.random.Generator(np.random.PCG64(seed)), 3, 3)
+        net = random_network(np.random.Generator(np.random.PCG64(seed)))
     elif kind == "multigraph":
         net = _multigraph(draw)
     else:

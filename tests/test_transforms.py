@@ -149,35 +149,53 @@ class TestRounding:
 
 
 class TestSandwich:
-    def rank(self, net):
-        return estimate_r1(net, trials=3, seed=0).r1_lower
-
     def test_fig1_n1(self):
-        report = sandwich_check(diamond_network(2, 3, 3, 2, 2), 1, self.rank)
+        report = sandwich_check(diamond_network(2, 3, 3, 2, 2), 1, 0)
         assert (report.mc_lower, report.r1_estimate, report.mc_upper) == (4, 6, 8)
         assert report.ok
 
     def test_fig1_n2(self):
-        report = sandwich_check(diamond_network(2, 3, 3, 2, 2), 2, self.rank)
+        report = sandwich_check(diamond_network(2, 3, 3, 2, 2), 2, 0)
         assert (report.mc_lower, report.r1_estimate, report.mc_upper) == (32, 36, 64)
         assert report.mc_power == 36
         assert report.ok
 
     def test_path_collapses(self):
-        report = sandwich_check(path_network(2, 3), 2, self.rank)
+        report = sandwich_check(path_network(2, 3), 2, 0)
         assert report.mc_lower == report.r1_estimate == report.mc_power == 4
         assert report.ok
 
     def test_all_powers_of_two_collapse(self):
-        report = sandwich_check(diamond_network(2, 4, 4, 2, 2), 1, self.rank)
+        report = sandwich_check(diamond_network(2, 4, 4, 2, 2), 1, 0)
         assert report.mc_lower == report.r1_estimate == report.mc_upper
         assert report.ok
 
     def test_power_consistency_with_round(self):
         net = diamond_network(2, 3, 3, 2, 2)
         pair = round_networks(net, 2)
-        report = sandwich_check(net, 2, self.rank)
+        report = sandwich_check(net, 2, 0)
         assert isinstance(pair, RoundedPair)
         assert min_cut(pair.lower).value == report.mc_lower
         assert min_cut(pair.upper).value == report.mc_upper
         assert min_cut(tensor_power(net, 2)).value == report.mc_power
+
+    def test_directed_diamond_brackets_the_orientation_free_rank(self):
+        # R1 ignores orientations, so the rounded networks are cut without
+        # them: cut with d1 reversed, the upper network would read MC = 2.
+        dirs = {"d1": "vu", "d2": "uv", "d3": "uv", "d4": "uv", "d5": "uv"}
+        report = sandwich_check(orient(diamond_network(2, 3, 3, 2, 2), dirs), 1, 0)
+        got = (report.mc_lower, report.r1_estimate, report.mc_upper, report.mc_power)
+        assert got == (4, 6, 8, 6)
+        assert report.ok
+
+    def test_each_network_is_cut_once(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return min_cut(net)
+
+        monkeypatch.setattr("entcap.transforms.min_cut", counting)
+        monkeypatch.setattr("entcap.tnrank.min_cut", counting)
+        sandwich_check(diamond_network(2, 3, 3, 2, 2), 2, 0)
+        assert len(calls) == 4  # lower, base, upper and the power
