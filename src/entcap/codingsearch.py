@@ -4,6 +4,12 @@ A protocol is a source encoder plus one function table per internal
 vertex; a decoder exists iff the end-to-end map from messages to sink
 symbol tuples is injective, so the decoder is never represented.
 
+Each network is compiled once, by :func:`_compile`: one pass over the
+edges lists the ports each internal vertex reads and writes, and the
+validator, the size guard, the search and the witness builder all read
+that plan.  Only live vertices compute in the search: those a source
+feeds, writing the edges that a sink or a live vertex reads.
+
 The exhaustive search assigns table entries lazily, branching only on
 entries actually reached by some message and pruning a branch the moment
 two messages produce identical sink tuples.  Entries never reached are
@@ -34,7 +40,6 @@ from .netmodel import (
     Network,
     NetworkError,
     TooLargeError,
-    successors,
     topological_order,
 )
 from .tnrank import MAX_ENTRIES
@@ -100,7 +105,7 @@ class SearchResult:
 
 
 # ---------------------------------------------------------------------------
-# Network wiring helpers
+# The compiled network
 # ---------------------------------------------------------------------------
 
 
@@ -110,27 +115,6 @@ def source_out_edges(net: Network) -> list:
     )
 
 
-def sink_in_edges(net: Network) -> list:
-    return sorted(
-        (e for e in net.edges if e.head in net.sink_set), key=lambda e: e.id
-    )
-
-
-def visible_in_edges(net: Network, vertex: str) -> list:
-    """In-edges a vertex may condition on: its own, plus its early stage's."""
-    early_of = {late: early for early, late in net.stage_pairs}
-    watched = {vertex}
-    if vertex in early_of:
-        watched.add(early_of[vertex])
-    return sorted(
-        (e for e in net.edges if e.head in watched), key=lambda e: e.id
-    )
-
-
-def out_edges(net: Network, vertex: str) -> list:
-    return sorted((e for e in net.edges if e.tail == vertex), key=lambda e: e.id)
-
-
 def _flatten(values, dims) -> int:
     idx = 0
     for val, dim in zip(values, dims):
@@ -138,20 +122,15 @@ def _flatten(values, dims) -> int:
     return idx
 
 
-# ---------------------------------------------------------------------------
-# The compiled forward pass
-# ---------------------------------------------------------------------------
-
-
 class _Step(NamedTuple):
-    """One computing vertex.  A table value is the row-major index of its
-    output tuple over ``outs`` in edge-id order, so repeated ``divmod`` by
-    the dims yields the outputs last edge first: ``outs`` is stored in that
-    write order."""
+    """One computing vertex.  A port is the ``(position, dim)`` of an edge.
+    A table value is the row-major index of its output tuple over ``outs``
+    in edge-id order, so repeated ``divmod`` by the dims yields the outputs
+    last edge first: ``outs`` is stored in that write order."""
 
     vertex: str
-    ins: tuple  # (position, dim) of each visible in-edge, edge-id order
-    outs: tuple  # (position, dim) of each out-edge the vertex writes, last edge id first
+    ins: tuple  # port of each visible in-edge, edge-id order
+    outs: tuple  # port of each out-edge the vertex writes, last edge id first
     codomain: int
 
 
@@ -160,8 +139,9 @@ class _Plan(NamedTuple):
     live in a list indexed by edge position, and edges no step writes carry 0."""
 
     size: int
-    source: tuple  # positions of the source out-edges
-    read_sink: Callable  # symbol list -> tuple of the sink in-edge symbols, edge-id order
+    source: tuple  # ports of the source out-edges, edge-id order
+    sink: tuple  # ports of the sink in-edges, edge-id order
+    read_sink: Callable  # symbol list -> tuple of the sink in-edge symbols
     steps: tuple  # one _Step per computing vertex, topological order
 
 
@@ -175,27 +155,45 @@ def _tuple_reader(positions: tuple):
     return lambda sym: ()
 
 
-def _compile(net: Network, order: list, outs: dict) -> _Plan:
-    """Plan over the vertices of ``outs`` in ``order``, each writing ``outs[v]``."""
-    pos = {e.id: i for i, e in enumerate(net.edges)}
+def _compile(net: Network) -> _Plan:
+    """The one reading of the network's wiring: a step for every internal
+    vertex in :func:`~entcap.netmodel.topological_order`, reading its
+    visible in-edges (its own, plus its early stage's when it is a late
+    stage) and writing all of its out-edges.
 
-    def at(edges):
-        return tuple((pos[e.id], e.dim) for e in edges)
-
+    Raises on an undirected edge or a directed cycle, before any port is
+    listed.
+    """
+    order = topological_order(net)
+    late_of = dict(net.stage_pairs)
+    sources, sinks = net.source_set, net.sink_set
+    source, sink = [], []
+    ins = {v: [] for v in net.internal_vertices}
+    outs = {v: [] for v in net.internal_vertices}
+    for pos, e in sorted(enumerate(net.edges), key=lambda item: item[1].id):
+        port = (pos, e.dim)
+        if e.tail in sources:
+            source.append(port)
+        if e.head in sinks:
+            sink.append(port)
+        for reader in (e.head, late_of.get(e.head)):
+            if reader in ins:
+                ins[reader].append(port)
+        if e.tail in outs:
+            outs[e.tail].append(port)
     steps = tuple(
-        _Step(v, at(visible_in_edges(net, v)), at(outs[v])[::-1], prod(e.dim for e in outs[v]))
+        _Step(v, tuple(ins[v]), tuple(outs[v][::-1]), prod(dim for _, dim in outs[v]))
         for v in order
         if v in outs
     )
-    source = tuple(pos[e.id] for e in source_out_edges(net))
-    sink = _tuple_reader(tuple(pos[e.id] for e in sink_in_edges(net)))
-    return _Plan(len(net.edges), source, sink, steps)
+    read_sink = _tuple_reader(tuple(pos for pos, _ in sink))
+    return _Plan(len(net.edges), tuple(source), tuple(sink), read_sink, steps)
 
 
 def _source_symbols(plan: _Plan, row) -> list:
     """A fresh symbol list holding the source symbol ``row``, every other edge 0."""
     sym = [0] * plan.size
-    for pos, val in zip(plan.source, row):
+    for (pos, _), val in zip(plan.source, row):
         sym[pos] = val
     return sym
 
@@ -231,31 +229,28 @@ def _forward(plan: _Plan, sym: list, tables, start: int = 0):
 # ---------------------------------------------------------------------------
 
 
-def _check_protocol(net: Network, pt: ProtocolTable):
-    src = source_out_edges(net)
+def _protocol_plan(net: Network, pt: ProtocolTable) -> _Plan:
+    """The compiled network, once ``pt`` is checked against its shapes."""
+    plan = _compile(net)
     for row in pt.source_encoder:
-        if len(row) != len(src):
+        if len(row) != len(plan.source):
             raise ProtocolError("source encoder row arity mismatch")
-        for val, e in zip(row, src):
-            if not 0 <= val < e.dim:
-                raise ProtocolError(f"source symbol {val} outside alphabet of {e.id}")
-    for v in net.internal_vertices:
+        for val, (pos, dim) in zip(row, plan.source):
+            if not 0 <= val < dim:
+                raise ProtocolError(
+                    f"source symbol {val} outside alphabet of {net.edges[pos].id}"
+                )
+    for v, ins, _, codomain in plan.steps:
         if v not in pt.node_functions:
             raise ProtocolError(f"missing node function for {v!r}")
-        dom = prod(e.dim for e in visible_in_edges(net, v))
-        cod = prod(e.dim for e in out_edges(net, v))
+        dom = prod(dim for _, dim in ins)
         table = pt.node_functions[v]
         if len(table) != dom:
             raise ProtocolError(f"table at {v!r} has {len(table)} rows, expected {dom}")
         for val in table:
-            if not 0 <= val < cod:
+            if not 0 <= val < codomain:
                 raise ProtocolError(f"table value {val} at {v!r} outside codomain")
-
-
-def _protocol_plan(net: Network, pt: ProtocolTable) -> _Plan:
-    order = topological_order(net)
-    _check_protocol(net, pt)
-    return _compile(net, order, {v: out_edges(net, v) for v in net.internal_vertices})
+    return plan
 
 
 def is_valid(net: Network, pt: ProtocolTable) -> bool:
@@ -289,41 +284,38 @@ class _Searcher:
     ``cfg.fix_source_bijection`` is set."""
 
     def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
-        order = topological_order(net)
-        self.net = net
+        self.full = _compile(net)
         self.cfg = cfg
         self.prune = prune
         self.l = cfg.alphabet_size
         if self.l < 1:
             raise ValueError("alphabet size must be >= 1")
 
-        self.src_dims = [e.dim for e in source_out_edges(net)]
+        self.src_dims = [dim for _, dim in self.full.source]
         self.P = prod(self.src_dims)
         self.max_l = self.P
         if prune:
-            self.max_l = min(self.P, prod(e.dim for e in sink_in_edges(net)))
+            self.max_l = min(self.P, prod(dim for _, dim in self.full.sink))
 
-        # Only live vertices compute: those a source feeds through internal
-        # vertices (a sink forwards nothing), writing only the out-edges a
-        # sink or a live vertex reads (a source reads nothing).  Every other
-        # edge carries 0; it cannot help or hurt injectivity.
-        succ = successors(net)
-        sinks, internal = net.sink_set, set(net.internal_vertices)
-        reached = set(net.sources)
-        for v in order:
-            if v in reached and v not in sinks:
-                reached.update(succ[v])
-        late_of = dict(net.stage_pairs)
-        readers = set(sinks)
-        live = {}
-        for v in reversed(order):
-            if v in reached and v in internal:
-                outs = [e for e in out_edges(net, v) if e.head in readers]
-                if outs:
-                    live[v] = outs
-                if outs or late_of.get(v) in live:  # a late stage reads its early's in-edges
-                    readers.add(v)
-        self.plan = _compile(net, order, live)
+        # Only live steps compute: those a source feeds (a sink forwards
+        # nothing), writing only the out-edges a sink or a live step reads
+        # (a source reads nothing).  A late stage's ins hold its early
+        # stage's in-edges, so a live late keeps its early's writers live.
+        # Every other edge carries 0; it cannot help or hurt injectivity.
+        fed = {pos for pos, _ in self.full.source}
+        reached = []
+        for step in self.full.steps:
+            if any(pos in fed for pos, _ in step.ins):
+                reached.append(step)
+                fed.update(pos for pos, _ in step.outs)
+        read = {pos for pos, _ in self.full.sink}
+        live = []
+        for step in reversed(reached):
+            outs = tuple(port for port in step.outs if port[0] in read)
+            if outs:
+                live.append(step._replace(outs=outs, codomain=prod(dim for _, dim in outs)))
+                read.update(pos for pos, _ in step.ins)
+        self.plan = self.full._replace(steps=tuple(reversed(live)))
 
         # At l = P the message-order break leaves one encoder, the canonical one.
         self.fixed = self.l == self.P and (prune or cfg.fix_source_bijection)
@@ -345,11 +337,7 @@ class _Searcher:
         # in full, and a witness holds a full table for every internal
         # vertex, dead ones included: refuse a search past the array cap
         # first.
-        rows = {step.vertex: prod(dim for _, dim in step.ins) for step in self.plan.steps}
-        self.widths = {
-            v: prod(e.dim for e in visible_in_edges(self.net, v))
-            for v in self.net.internal_vertices
-        }
+        self.widths = {v: prod(dim for _, dim in ins) for v, ins, _, _ in self.full.steps}
         largest = max([self.P, *self.widths.values()])
         if largest > MAX_ENTRIES:
             raise TooLargeError(
@@ -363,7 +351,7 @@ class _Searcher:
         self.sym = [
             None if row is None else _source_symbols(self.plan, row) for row in self.enc
         ]
-        self.tables = {v: [None] * n for v, n in rows.items()}
+        self.tables = {step.vertex: [None] * self.widths[step.vertex] for step in self.plan.steps}
         self.seen = set()
         self.witness = None
         try:
@@ -420,18 +408,24 @@ class _Searcher:
         return False
 
     def _build_witness(self) -> ProtocolTable:
-        """Widen each live table to all out-edges; dead entries become 0."""
-        pos = {e.id: i for i, e in enumerate(self.net.edges)}
+        """Widen each live table onto all of its vertex's out-edges, each
+        output times its stride in the full row-major value; dead entries
+        and dead out-edges become 0."""
         node_functions = {v: (0,) * n for v, n in self.widths.items()}
+        full_outs = {step.vertex: step.outs for step in self.full.steps}
         for v, _, live_outs, _ in self.plan.steps:
-            outs = out_edges(self.net, v)
+            stride, strides = 1, {}
+            for pos, dim in full_outs[v]:  # last edge id first: stride 1
+                strides[pos] = stride
+                stride *= dim
+            widen = [(dim, strides[pos]) for pos, dim in live_outs]
             table = []
             for out in self.tables[v]:
-                out, val = out or 0, {}
-                for p, dim in live_outs:
-                    out, val[p] = divmod(out, dim)
-                full = [val.get(pos[e.id], 0) for e in outs]
-                table.append(_flatten(full, [e.dim for e in outs]))
+                out, full = out or 0, 0
+                for dim, weight in widen:
+                    out, val = divmod(out, dim)
+                    full += val * weight
+                table.append(full)
             node_functions[v] = tuple(table)
         return ProtocolTable(source_encoder=tuple(self.enc), node_functions=node_functions)
 

@@ -113,6 +113,10 @@ class Network:
         vset = set(self.vertices)
         if len(self.vertices) != len(vset):
             errors.append("duplicate vertex ids")
+        if len(self.sources) != len(self.source_set):
+            errors.append("duplicate source ids")
+        if len(self.sinks) != len(self.sink_set):
+            errors.append("duplicate sink ids")
         if not self.sources:
             errors.append("empty source set")
         if not self.sinks:
@@ -368,8 +372,15 @@ def merge_stage_pairs(net: Network) -> Network:
     )
 
 
-def successors(net: Network) -> dict[str, set[str]]:
-    """Directed adjacency including the implicit early -> late stage links."""
+def topological_order(net: Network) -> list[str]:
+    """Topological order of a fully directed network, each early stage
+    before its late stage.  Among the vertices ready at any point the
+    smallest id comes first, so the order is deterministic, and so are the
+    coding witnesses built on it.
+
+    Raises NetworkError on an undirected edge and CyclicNetworkError on a
+    directed cycle.
+    """
     succ: dict[str, set[str]] = {v: set() for v in net.vertices}
     for e in net.edges:
         if not e.is_directed:
@@ -377,15 +388,6 @@ def successors(net: Network) -> dict[str, set[str]]:
         succ[e.tail].add(e.head)
     for early, late in net.stage_pairs:
         succ[early].add(late)
-    return succ
-
-
-def topological_order(net: Network) -> list[str]:
-    """Topological order of a fully directed network (stage links included).
-
-    Raises CyclicNetworkError on a directed cycle.
-    """
-    succ = successors(net)
     indeg = {v: 0 for v in net.vertices}
     for v, outs in succ.items():
         for w in outs:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -119,6 +120,8 @@ MALFORMED_FILES = {
     "dim-0": _path_2_3(edges=[{**_E0, "dim": 0}, _E1]),
     "duplicate-edge-id": _path_2_3(edges=[_E0, {**_E1, "id": _E0["id"]}]),
     "source-is-sink": _path_2_3(sinks=["t", "s"]),
+    "duplicate-source": _path_2_3(sources=["s", "s"]),
+    "duplicate-sink": _path_2_3(sinks=["t", "t"]),
     "dim-5001-digits": _path_2_3(edges=[{**_E0, "dim": -1}, _E1]).replace(
         "-1", "9" * 5001
     ),
@@ -163,6 +166,80 @@ MINCUT_STDOUT = [
     ("n_d5_4_split_d5_2_2", 6, ["n1_early", "n1_late", "n2_early", "n2_late", "s"]),
     ("all_uv_diamond", 4, ["n2", "s"]),
 ]
+
+
+def _run_under_memory_limit(code, *args):
+    """``python -c code args`` in a child process, and only there, under
+    an 800 MB address-space limit with one BLAS thread."""
+    limit = 800 * 2**20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+    )
+
+
+def _sweep_networks():
+    """(name, dim, file text) of each sweep network from s to t: s -> t,
+    s -> n -> t, the diamond, s -> n -> t with a self-loop on n, and s -> t
+    of dim 2 beside an edge a -> b that nothing reaches.  Each is written
+    all undirected and all u -> v, every other edge of dim 10^12 or 10^19;
+    edges are named e0, e1, ... in the order listed."""
+    files = []
+    for orientation, dim in itertools.product(("undirected", "uv"), (10**12, 10**19)):
+        shapes = {
+            "st": [("s", "t", dim)],
+            "snt": [("s", "n", dim), ("n", "t", dim)],
+            "diamond": [("s", "n1", dim), ("s", "n2", dim), ("n1", "t", dim),
+                        ("n2", "t", dim), ("n1", "n2", dim)],
+            "self_loop": [("s", "n", dim), ("n", "t", dim), ("n", "n", dim)],
+            "dead_edge": [("s", "t", 2), ("a", "b", dim)],
+        }
+        for shape, hops in shapes.items():
+            edges = [Edge(f"e{i}", u, v, d, orientation) for i, (u, v, d) in enumerate(hops)]
+            vertices = sorted({end for e in edges for end in (e.u, e.v)})
+            net = network(vertices, edges, ["s"], ["t"])
+            files.append((f"{shape}-{orientation}-{dim}", dim, dump_network(net)))
+    return files
+
+
+#: The sweep's commands; ``{dim}`` is the sweep's dimension.
+SWEEP_COMMANDS = [
+    "mincut",
+    "rank",
+    "c1 --l 2",
+    "c1 --exact-up-to 3",
+    "bounds",
+    "transform --op power:2",
+    "transform --op round:2",
+    "transform --op scale:3",
+    "transform --op split:e4:1:{dim}",
+]
+
+#: The sweep's child: runs ``cli.main`` in-process on each argv of the JSON
+#: list in argv[1] and prints [argv, exit code, stdout, stderr] for each.
+_SWEEP_CHILD = """
+import contextlib, io, json, sys
+from entcap.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # MemoryError included: a finding, not the end
+            code = repr(exc)
+    results.append([argv, code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
 
 
 class TestMincut:
@@ -473,22 +550,39 @@ class TestBadArguments:
         # allocation that slips past the guard ends in a MemoryError.
         path = tmp_path / "dead_edge_1e12.json"
         path.write_text(_dead_edge(10**12))
-        limit = 800 * 2**20
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from entcap.cli import main; sys.exit(main())",
-             "c1", str(path), *args.split()],
-            capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=120,
+        proc = _run_under_memory_limit(
+            "import sys; from entcap.cli import main; sys.exit(main())",
+            "c1", str(path), *args.split(),
         )
         assert proc.returncode == EXIT_BAD_INPUT
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_huge_dims_sweep_under_memory_limit(self, tmp_path):
+        # Every network command on every sweep network, all in one child
+        # process under the memory limit: each case exits 0 with JSON on
+        # stdout, or 2 with one error line and nothing on stdout.
+        cases = []
+        for stem, dim, text in _sweep_networks():
+            path = tmp_path / f"{stem}.json"
+            path.write_text(text)
+            for command in SWEEP_COMMANDS:
+                name, *args = command.format(dim=dim).split()
+                cases.append([name, str(path), *args])
+        proc = _run_under_memory_limit(_SWEEP_CHILD, json.dumps(cases))
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == len(cases) == 180
+        bad = []
+        for argv, code, out, err in results:
+            if code == EXIT_OK:
+                ok = err == "" and isinstance(json.loads(out), dict)
+            else:
+                ok = code == EXIT_BAD_INPUT and out == ""
+                ok = ok and err.startswith("error:") and err.count("\n") == 1
+            if not ok:
+                bad.append((argv, code, err[-200:]))
+        assert not bad, bad
 
     def test_rank_refuses_oversize_network(self, capsys, tmp_path):
         # fig2^6: node tensors of ~5.8 GB; refused before any is drawn.

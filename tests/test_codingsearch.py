@@ -22,7 +22,6 @@ from entcap.codingsearch import (
     c1_exact,
     exhaustive_achievable,
     is_valid,
-    out_edges,
     paper_protocol_n2,
     paper_protocol_n4,
     protocol_to_obj,
@@ -359,6 +358,66 @@ def test_full_alphabet_pin(net):
         assert runs[0].assignments <= oracle.assignments
 
 
+def _vertex_rule_live_steps(net):
+    """The live steps by the vertex-level rule, rebuilt over the full
+    compiled plan: ``reached`` runs from the sources over a successor map
+    (stage links included, a sink forwarding nothing); then, backwards, a
+    reached vertex writes the out-edges whose head is a reader, and it is
+    a reader itself when it writes one or when its late stage is live."""
+    full = _compile(net)
+    succ = {v: set() for v in net.vertices}
+    for e in net.edges:
+        succ[e.tail].add(e.head)
+    for early, late in net.stage_pairs:
+        succ[early].add(late)
+    reached = set(net.sources)
+    for v in topological_order(net):
+        if v in reached and v not in net.sink_set:
+            reached.update(succ[v])
+    head = [e.head for e in net.edges]
+    late_of = dict(net.stage_pairs)
+    readers = set(net.sinks)
+    live = {}
+    for step in reversed(full.steps):
+        if step.vertex not in reached:
+            continue
+        outs = tuple(port for port in step.outs if head[port[0]] in readers)
+        if outs:
+            live[step.vertex] = step._replace(outs=outs, codomain=prod(d for _, d in outs))
+        if outs or late_of.get(step.vertex) in live:
+            readers.add(step.vertex)
+    return tuple(live[step.vertex] for step in full.steps if step.vertex in live)
+
+
+def _unreached_early():
+    """A late stage fed from the source whose early stage nothing reaches:
+    x -> e is visible to the late stage but has no live writer."""
+    return network(
+        ["s", "x", "e", "l", "t"],
+        [
+            Edge("a", "s", "l", 2, "uv"),
+            Edge("b", "x", "e", 3, "uv"),
+            Edge("c", "e", "t", 2, "uv"),
+            Edge("d", "l", "t", 2, "uv"),
+        ],
+        ["s"],
+        ["t"],
+        [("e", "l")],
+    )
+
+
+LIVENESS_CORPUS = CORPUS + [("unreached-early", _unreached_early())]
+
+
+@pytest.mark.parametrize(
+    "net", [net for _, net in LIVENESS_CORPUS], ids=[name for name, _ in LIVENESS_CORPUS]
+)
+def test_live_plan_matches_vertex_rule(net):
+    """The port-level liveness passes keep exactly the steps, ins, outs
+    and codomains that the vertex-level rule keeps."""
+    assert _Searcher(net, SearchConfig(1)).plan.steps == _vertex_rule_live_steps(net)
+
+
 @st.composite
 def _partial_protocol(draw):
     """A compiled acyclic network, a source row and tables that are only
@@ -372,8 +431,7 @@ def _partial_protocol(draw):
         dirs = draw(st.lists(st.sampled_from(["uv", "vu"]), min_size=size, max_size=size))
         net = orient(net, {e.id: d for e, d in zip(net.edges, dirs)})
         assume(is_acyclic(net))
-    outs = {v: out_edges(net, v) for v in net.internal_vertices}
-    plan = _compile(net, topological_order(net), outs)
+    plan = _compile(net)
     row = tuple(draw(st.integers(0, e.dim - 1)) for e in source_out_edges(net))
     tables = {
         step.vertex: [

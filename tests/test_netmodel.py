@@ -53,6 +53,15 @@ class TestValidate:
             network(["s", "t"], [], [], ["t"])
 
     @pytest.mark.parametrize(
+        "sources, sinks, message",
+        [(["s", "s"], ["t"], "duplicate source ids"), (["s"], ["t", "t"], "duplicate sink ids")],
+    )
+    def test_duplicate_terminal_ids(self, sources, sinks, message):
+        # Counted twice, a terminal would make a diamond look unlike one.
+        with pytest.raises(NetworkError, match=message):
+            network(["s", "t"], [Edge("e", "s", "t", 2)], sources, sinks)
+
+    @pytest.mark.parametrize(
         "u, v, orientation, arcs",
         [
             ("a", "b", "uv", (("a", "b"),)),

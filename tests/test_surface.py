@@ -1,7 +1,7 @@
-"""Surface guards over ``src/entcap``: every public top-level name is
-read somewhere other than its own definition, and every defaulted
-parameter of a public function or field of a public dataclass is set
-somewhere.
+"""Surface guards over ``src/entcap``: every top-level name, public or
+private, is read somewhere other than its own definition, and every
+defaulted parameter of a public function or field of a public dataclass
+is set somewhere.
 
 A read is a name, an attribute or an import in another ``src/entcap``
 module, elsewhere in the defining module, or in a ``perfbench/`` or
@@ -26,8 +26,8 @@ UNSET_ALLOWED = {
 }
 
 
-def _public_definitions(tree):
-    """(name, node) for each public top-level function, class and constant."""
+def _definitions(tree):
+    """(name, node) for each top-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             targets = [node.name]
@@ -38,8 +38,7 @@ def _public_definitions(tree):
         else:
             continue
         for name in targets:
-            if not name.startswith("_"):
-                yield name, node
+            yield name, node
 
 
 def _reads(tree, skip=()):
@@ -59,7 +58,9 @@ def _reads(tree, skip=()):
     return found
 
 
-def unread_public_names():
+def unread_names(private=False):
+    """The unread top-level names, ``module.name``: the public ones, or
+    with ``private`` the ``_``-prefixed ones."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
     reads = {path: _reads(tree) for path, tree in trees.items()}
     culprits = []
@@ -67,14 +68,21 @@ def unread_public_names():
         if path not in MODULES:
             continue
         elsewhere = set().union(*(r for p, r in reads.items() if p != path))
-        for name, node in _public_definitions(tree):
+        for name, node in _definitions(tree):
+            if name.startswith("_") != private:
+                continue
             if name not in elsewhere and name not in _reads(tree, skip=(node,)):
                 culprits.append(f"{path.stem}.{name}")
     return culprits
 
 
 def test_every_public_name_is_read():
-    culprits = unread_public_names()
+    culprits = unread_names()
+    assert not culprits, "read nowhere outside their definitions: " + ", ".join(culprits)
+
+
+def test_every_private_name_is_read():
+    culprits = unread_names(private=True)
     assert not culprits, "read nowhere outside their definitions: " + ", ".join(culprits)
 
 
