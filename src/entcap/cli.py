@@ -89,6 +89,21 @@ def _split_spec(text) -> SplitSpec:
         raise argparse.ArgumentTypeError(f"expected EDGE:a:b, got {text!r}") from exc
 
 
+def _op(text) -> tuple:
+    """argparse ``type=`` for ``--op``: (kind, n) or ("split", SplitSpec)."""
+    kind, _, arg = text.partition(":")
+    try:
+        if kind == "split":
+            return kind, _split_spec(arg)
+        if kind in ("power", "scale", "round"):
+            return kind, int(arg)
+    except (ValueError, argparse.ArgumentTypeError):
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected split:EDGE:a:b, power:n, scale:k or round:n, got {text!r}"
+    )
+
+
 def cmd_mincut(args) -> int:
     net = _read_network(args.file)
     cut = min_cut(net)
@@ -132,17 +147,7 @@ def cmd_c1(args) -> int:
     return EXIT_OK
 
 
-def _parse_op(op: str):
-    parts = op.split(":")
-    kind = parts[0]
-    if kind == "split" and len(parts) == 4:
-        return "split", SplitSpec(parts[1], int(parts[2]), int(parts[3]))
-    if kind in ("power", "scale", "round") and len(parts) == 2:
-        return kind, int(parts[1])
-    raise ValueError(f"bad --op value {op!r}")
-
-
-def _check_power_digits(net, op: str, n: int):
+def _check_power_digits(net, kind: str, n: int):
     """Refuse a power whose dimensions ``dim**n`` would have more digits
     than Python prints, before building them (they could fill memory)."""
     limit = sys.get_int_max_str_digits()
@@ -151,19 +156,16 @@ def _check_power_digits(net, op: str, n: int):
     if limit and dim > 1 and n > limit / math.log10(dim):
         raise _fail(
             EXIT_BAD_INPUT,
-            f"error: {op} gives dimensions of more than {limit} digits, "
+            f"error: {kind}:{n} gives dimensions of more than {limit} digits, "
             f"above the print limit",
         )
 
 
 def cmd_transform(args) -> int:
     net = _read_network(args.file)
-    try:
-        kind, arg = _parse_op(args.op)
-    except ValueError as exc:
-        raise _fail(EXIT_BAD_INPUT, f"error: {exc}")
+    kind, arg = args.op
     if kind in ("power", "round"):
-        _check_power_digits(net, args.op, arg)
+        _check_power_digits(net, kind, arg)
     if kind == "split":
         _emit(network_to_obj(split_cycle_edge(net, arg)))
     elif kind == "power":
@@ -245,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply split/power/scale/round to a network")
     p.add_argument("file")
-    p.add_argument("--op", required=True, help="split:EDGE:a:b | power:n | scale:k | round:n")
+    p.add_argument(
+        "--op", type=_op, required=True, help="split:EDGE:a:b | power:n | scale:k | round:n"
+    )
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("bounds", help="full capacity report with bound orderings")

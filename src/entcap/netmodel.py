@@ -199,13 +199,6 @@ class Cut:
     value: int
 
 
-def incident_edges(net: Network, vertex: str) -> list[Edge]:
-    """Edges touching ``vertex``, sorted by edge id (self-loops once)."""
-    return sorted(
-        (e for e in net.edges if vertex in (e.u, e.v)), key=lambda e: e.id
-    )
-
-
 def crossing_edges(net: Network, s_side: frozenset[str]) -> list[Edge]:
     """Edges contributing to the cut value of the partition ``s_side``:
     those with an arc of :attr:`Edge.arcs` from the source side to the

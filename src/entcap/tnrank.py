@@ -23,7 +23,6 @@ from .netmodel import (
     NetworkError,
     TooLargeError,
     drop_orientations,
-    incident_edges,
     merge_stage_pairs,
     min_cut,
 )
@@ -78,22 +77,38 @@ class PrimeField:
             raise ValueError(f"prime {self.p} is not below 2^31")
 
 
-def tensor_axes(net: Network, vertex: str) -> list:
-    """Edges indexing the tensor at ``vertex`` (id order, self-loops twice)."""
-    axes = []
-    for e in incident_edges(net, vertex):
-        axes.append(e)
-        if e.is_self_loop:
-            axes.append(e)
-    return axes
+def _wiring(net: Network) -> tuple[dict, list, list]:
+    """How the rank reads ``net``: each internal vertex's tensor axes, the
+    row slots and the column slots, as edges, from one pass over the
+    edges in edge-id order.
+
+    Each end of an edge at an internal vertex is one axis of its tensor,
+    so a self-loop gives two adjacent axes.  Each end of a non-loop edge
+    at a terminal is one slot of that terminal; a terminal's loop gives
+    none.  The rows are the sources' slots, sources in sorted order, and
+    the columns the sinks' slots, sinks in sorted order: an edge between
+    two sources gives a row slot at each end, an s-t edge one row slot
+    and one column slot.
+    """
+    axes = {v: [] for v in net.internal_vertices}
+    slots = {v: [] for v in net.terminal_set}
+    for e in sorted(net.edges, key=lambda e: e.id):
+        for end in (e.u, e.v):
+            if end in axes:
+                axes[end].append(e)
+            elif not e.is_self_loop:
+                slots[end].append(e)
+    rows = [e for v in sorted(net.sources) for e in slots[v]]
+    cols = [e for v in sorted(net.sinks) for e in slots[v]]
+    return axes, rows, cols
 
 
 @dataclass(frozen=True)
 class TensorAssignment:
     """One tensor per internal vertex, entries in ``field``.
 
-    Tensor axes follow :func:`tensor_axes`: one axis per incident edge in
-    edge-id order, self-loops contributing two adjacent axes.
+    Tensor axes follow :func:`_wiring`: one axis per edge end at the
+    vertex, edges in id order, so a self-loop gives two adjacent axes.
     """
 
     field: PrimeField
@@ -106,13 +121,14 @@ def _vertex_seed(seed: int, vertex: str) -> np.random.SeedSequence:
 
 
 def random_assignment(net: Network, field: PrimeField, seed: int) -> TensorAssignment:
-    """Uniform tensors from a PCG64 stream keyed by (seed, vertex id).
+    """Uniform tensors from a PCG64 stream keyed by (seed, vertex id), with
+    the axes of :func:`_wiring`.
 
     Identical inputs reproduce identical assignments on any platform.
     """
     tensors = {}
-    for v in net.internal_vertices:
-        shape = tuple(e.dim for e in tensor_axes(net, v))
+    for v, axes in _wiring(net)[0].items():
+        shape = tuple(e.dim for e in axes)
         rng = np.random.Generator(np.random.PCG64(_vertex_seed(seed, v)))
         tensors[v] = rng.integers(0, field.p, size=shape, dtype=np.int64)
     return TensorAssignment(field=field, tensors=tensors)
@@ -124,27 +140,6 @@ class BoundaryMatrix:
 
     field: PrimeField
     matrix: np.ndarray
-
-
-def _boundary_slots(net: Network, terminals) -> list:
-    """Boundary index slots: per terminal (sorted), its incident non-loop edges."""
-    slots = []
-    for v in sorted(terminals):
-        for e in incident_edges(net, v):
-            if not e.is_self_loop:
-                slots.append(e)
-    return slots
-
-
-def _check_assignment(net: Network, ta: TensorAssignment) -> None:
-    for v in net.internal_vertices:
-        if v not in ta.tensors:
-            raise NetworkError(f"assignment missing tensor for vertex {v!r}")
-        expected = tuple(e.dim for e in tensor_axes(net, v))
-        if tuple(ta.tensors[v].shape) != expected:
-            raise NetworkError(
-                f"tensor at {v!r} has shape {ta.tensors[v].shape}, expected {expected}"
-            )
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -180,17 +175,17 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 class _Plan:
     """How :func:`contract` multiplies a network's tensors, fixed by shapes alone.
 
-    Factors are the internal vertices' tensors (``vertices``, with the
-    axis pairs of their self-loops traced out) followed by one identity
-    matrix per edge between two terminals (``identities``).  An axis is
-    labelled by its edge id when the edge joins two internal vertices,
-    and by its boundary slot, ``("row", i)`` or ``("col", j)``, when it
-    reaches a terminal.  ``steps`` merge two live factors into a new one
-    appended at the end; the last factor's labels are permuted into
-    ``slots`` order.
+    Factors are the internal vertices' tensors (``vertices``: each with
+    its shape, which :func:`contract` checks, and with the axis pairs of
+    its self-loops traced out) followed by one identity matrix per edge
+    between two terminals (``identities``).  An axis is labelled by its
+    edge id when the edge joins two internal vertices, and by its
+    boundary slot, ``("row", i)`` or ``("col", j)``, when it reaches a
+    terminal.  ``steps`` merge two live factors into a new one appended
+    at the end; the last factor's labels are permuted into ``slots`` order.
     """
 
-    vertices: tuple  # (vertex id, self-loop axis positions, labels after tracing)
+    vertices: tuple  # (vertex id, shape, self-loop axis positions, labels after tracing)
     identities: tuple  # (dim, (slot label, slot label))
     steps: tuple  # (i, j) factor index pairs
     slots: tuple  # row slot labels, then column slot labels
@@ -211,13 +206,11 @@ def _plan_contraction(net: Network) -> _Plan:
     products.  Raises :class:`TooLargeError` if an input tensor, an
     intermediate or the boundary matrix would exceed ``MAX_ENTRIES``.
     """
-    terminal = net.terminal_set
-    row_slots = _boundary_slots(net, net.source_set)
-    col_slots = _boundary_slots(net, net.sink_set)
+    axes_of, row_slots, col_slots = _wiring(net)
     rows = prod(e.dim for e in row_slots)
     cols = prod(e.dim for e in col_slots)
     _check_entries("the boundary matrix", rows * cols)
-    slot_labels = {}  # edge id -> labels of its boundary slots
+    slot_labels = {}  # edge id -> labels of its boundary slots (two between terminals)
     for kind, slots in (("row", row_slots), ("col", col_slots)):
         for i, e in enumerate(slots):
             slot_labels.setdefault(e.id, []).append((kind, i))
@@ -228,22 +221,22 @@ def _plan_contraction(net: Network) -> _Plan:
             dims[label] = e.dim
 
     vertices, labels = [], []
-    for v in net.internal_vertices:
-        axes = tensor_axes(net, v)
-        _check_entries(f"the tensor at {v!r}", prod(e.dim for e in axes))
+    for v, axes in axes_of.items():
+        shape = tuple(e.dim for e in axes)
+        _check_entries(f"the tensor at {v!r}", prod(shape))
         loops = tuple(
             i for i in range(len(axes) - 1) if axes[i].is_self_loop and axes[i] is axes[i + 1]
         )
         kept = tuple(
-            e.id if e.other(v) not in terminal else slot_labels[e.id][0]
+            slot_labels[e.id][0] if e.id in slot_labels else e.id
             for e in axes
             if not e.is_self_loop
         )
-        vertices.append((v, loops, kept))
+        vertices.append((v, shape, loops, kept))
         labels.append(kept)
     identities = []
     for e in net.edges:
-        if e.u in terminal and e.v in terminal and not e.is_self_loop:
+        if len(slot_labels.get(e.id, ())) == 2:
             identities.append((e.dim, tuple(slot_labels[e.id])))
             labels.append(tuple(slot_labels[e.id]))
 
@@ -293,21 +286,24 @@ def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
     merge pairwise along shared edges in a greedy order fixed by the
     shapes (:func:`_plan_contraction`), every product going through
     :func:`matmul_mod`.  Edges between two terminals are identity
-    wiring.  Rows index the source slots and columns the sink slots,
-    row-major: the terminals in sorted order, and each terminal's
-    non-loop incident edges in edge-id order (an edge between two
-    sources, or two sinks, gives one slot at each end).
+    wiring.  Tensor axes, rows and columns follow :func:`_wiring`: rows
+    index the source slots and columns the sink slots, row-major.
 
     Raises:
         TooLargeError: a tensor, an intermediate or the boundary matrix
             would exceed ``MAX_ENTRIES``, checked before any allocation.
         NetworkError: a tensor is missing or has the wrong shape.
     """
-    _check_assignment(net, ta)
     plan = _plan_contraction(net)
     p = ta.field.p
     factors, labels = [], []
-    for v, loops, kept in plan.vertices:
+    for v, shape, loops, kept in plan.vertices:
+        if v not in ta.tensors:
+            raise NetworkError(f"assignment missing tensor for vertex {v!r}")
+        if ta.tensors[v].shape != shape:
+            raise NetworkError(
+                f"tensor at {v!r} has shape {ta.tensors[v].shape}, expected {shape}"
+            )
         t = ta.tensors[v] % p
         for i in reversed(loops):
             t = np.trace(t, axis1=i, axis2=i + 1) % p

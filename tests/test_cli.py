@@ -511,6 +511,9 @@ class TestBadArguments:
             ("transform", "path_2_3", f"--op round:{10**30}"),
             # Sink-sink edges t-t2 and t2-t both point into a sink: a cycle.
             ("transform", "n_d5_4_two_sinks", "--op split:d5:2:2"),
+            # Malformed ops: refused by the parser, naming --op.
+            ("transform", "n_d5_2", "--op power:x"),
+            ("transform", "n_d5_2", "--op split:d5:x:1"),
             # a -> b -> a in every orientation: no variant to search.
             ("bounds", "two_way_relays", ""),
             # 10^19 source rows, then a 10^19-row table: refused before
@@ -531,6 +534,9 @@ class TestBadArguments:
         assert code == EXIT_BAD_INPUT
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "invalid literal" not in err
+        if ":x" in args:  # an x where a number goes: the parser names the flag
+            assert f"argument {args.split()[0]}:" in err
 
     @pytest.mark.parametrize("command", NETWORK_COMMANDS)
     @pytest.mark.parametrize("text", MALFORMED_FILES.values(), ids=MALFORMED_FILES.keys())
@@ -690,6 +696,14 @@ def _readme_commands():
 def test_readme_commands_parse(argv):
     """Each documented command parses, so a removed flag cannot stay in the docs."""
     build_parser().parse_args(argv)
+
+
+def test_readme_layout_names_every_module():
+    """The README's "Layout" block names each module of the package."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    block = (root / "README.md").read_text().split("## Layout", 1)[1].split("```", 2)[1]
+    modules = {p.name for p in (root / "src" / "entcap").glob("*.py")} - {"__init__.py"}
+    assert sorted(m for m in modules if m not in block.split()) == []
 
 
 @given(_argv())

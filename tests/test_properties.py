@@ -3,10 +3,17 @@
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from entcap.codingsearch import SearchConfig, c1_exact, exhaustive_achievable, is_valid
-from entcap.fixtures import fixture, path_network
+from entcap.codingsearch import (
+    SearchConfig,
+    c1_exact,
+    exhaustive_achievable,
+    is_valid,
+    protocol_to_obj,
+)
+from entcap.fixtures import FIXTURE_NAMES, fixture, path_network
 from entcap.netmodel import (
     cut_value,
     is_acyclic,
@@ -16,7 +23,7 @@ from entcap.netmodel import (
     random_network,
     tensor_power,
 )
-from entcap.tnrank import estimate_r1
+from entcap.tnrank import PrimeField, contract, estimate_r1, random_assignment
 from entcap.transforms import round_networks
 
 SUITE = settings(max_examples=60, deadline=None)
@@ -69,6 +76,32 @@ def test_edge_reordering_invariance(seed):
         net.stage_pairs,
     )
     assert min_cut(net).value == min_cut(shuffled).value
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_edge_declaration_order_changes_nothing(name):
+    """Tensor axes, boundary slots and protocol tables are keyed by edge id,
+    so declaring a network's edges in reverse changes no result."""
+    net = fixture(name)
+    rev = replace(net, edges=net.edges[::-1])
+    cut, rev_cut = min_cut(net), min_cut(rev)
+    assert (cut.value, cut.s_side) == (rev_cut.value, rev_cut.s_side)
+    ta, rev_ta = random_assignment(net, PrimeField(), 1), random_assignment(rev, PrimeField(), 1)
+    assert ta.tensors.keys() == rev_ta.tensors.keys()
+    for v, t in ta.tensors.items():
+        assert np.array_equal(t, rev_ta.tensors[v]), v
+    assert np.array_equal(contract(net, ta).matrix, contract(rev, rev_ta).matrix)
+    est, rev_est = estimate_r1(net, trials=2), estimate_r1(rev, trials=2)
+    assert (est.r1_lower, est.witness_seed) == (rev_est.r1_lower, rev_est.witness_seed)
+    if name not in ("n2_up", "n4_split_2x2"):
+        return
+    for l in (2, 4, 5):
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
+        rev_res = exhaustive_achievable(rev, SearchConfig(alphabet_size=l))
+        assert res.status == rev_res.status
+        assert (res.witness is None) == (rev_res.witness is None)
+        if res.witness is not None:
+            assert protocol_to_obj(res.witness) == protocol_to_obj(rev_res.witness), l
 
 
 @SUITE

@@ -11,7 +11,6 @@ from entcap.netmodel import (
     Edge,
     NetworkError,
     TooLargeError,
-    incident_edges,
     network,
     orient,
     random_network,
@@ -29,21 +28,43 @@ from entcap.tnrank import (
     matmul_mod,
     random_assignment,
     rank_mod_p,
-    tensor_axes,
 )
 from entcap.transforms import SplitSpec, split_cycle_edge
 
 PRIMES = [2, 101, 2**31 - 1]
 
 
+def _by_id(net):
+    return sorted(net.edges, key=lambda e: e.id)
+
+
+def axes(net, v):
+    """The documented axis rule: one axis per end of an edge at ``v``,
+    edges in id order, so a self-loop gives two adjacent axes."""
+    return [e for e in _by_id(net) for end in (e.u, e.v) if end == v]
+
+
+def slots(net, terminals):
+    """The documented slot rule: the terminals in sorted order, each with
+    its non-loop edges in id order."""
+    return [
+        e for t in sorted(terminals) for e in _by_id(net)
+        if t in (e.u, e.v) and not e.is_self_loop
+    ]
+
+
+def shape(net, v):
+    return tuple(e.dim for e in axes(net, v))
+
+
 def delta_assignment(net, field=PrimeField()):
     """Copy tensors (generalized Kronecker deltas) at every internal vertex."""
     tensors = {}
     for v in net.internal_vertices:
-        shape = tuple(e.dim for e in tensor_axes(net, v))
-        t = np.zeros(shape, dtype=np.int64)
-        for i in range(min(shape)):
-            t[(i,) * len(shape)] = 1
+        dims = shape(net, v)
+        t = np.zeros(dims, dtype=np.int64)
+        for i in range(min(dims)):
+            t[(i,) * len(dims)] = 1
         tensors[v] = t
     return TensorAssignment(field=field, tensors=tensors)
 
@@ -188,7 +209,7 @@ class TestMatmulMod:
 
 def _multigraph(draw):
     """1-2 sources and sinks, 0-3 internal vertices, any edges (self-loops
-    and terminal-terminal edges included), dims 1-3."""
+    and terminal-terminal edges included), dims 1-3, declared in any order."""
     sources = [f"s{i}" for i in range(draw(st.integers(1, 2)))]
     sinks = [f"t{i}" for i in range(draw(st.integers(1, 2)))]
     internal = [f"n{i}" for i in range(draw(st.integers(0, 3)))]
@@ -196,7 +217,7 @@ def _multigraph(draw):
     ends = st.sampled_from(vertices)
     triples = draw(st.lists(st.tuples(ends, ends, st.integers(1, 3)), max_size=5))
     edges = [Edge(f"e{i}", u, v, dim) for i, (u, v, dim) in enumerate(triples)]
-    return network(vertices, edges, sources, sinks)
+    return network(vertices, draw(st.permutations(edges)), sources, sinks)
 
 
 @st.composite
@@ -225,20 +246,15 @@ def contract_reference(net, ta):
     internal edge configurations: O(rows * cols * prod(internal dims))
     Python-level steps, the test oracle for :func:`contract`.
 
-    Rows and columns follow the order :func:`contract` documents: the
-    terminals sorted, and each terminal's non-loop incident edges in
-    edge-id order.
+    Tensor axes, rows and columns follow the documented rules of
+    :func:`axes` and :func:`slots`, written here apart from the library.
     """
     p = ta.field.p
     terminal = net.terminal_set
     internal = list(net.internal_vertices)
-
-    def slots(terminals):
-        return [e for v in sorted(terminals) for e in incident_edges(net, v) if not e.is_self_loop]
-
-    row_slots, col_slots = slots(net.source_set), slots(net.sink_set)
+    row_slots, col_slots = slots(net, net.sources), slots(net, net.sinks)
     internal_edges = [e for e in net.edges if e.u not in terminal and e.v not in terminal]
-    vertex_axes = {v: [e.id for e in tensor_axes(net, v)] for v in internal}
+    vertex_axes = {v: [e.id for e in axes(net, v)] for v in internal}
 
     out = np.zeros((prod(e.dim for e in row_slots), prod(e.dim for e in col_slots)), dtype=np.int64)
     col_combos = list(itertools.product(*[range(e.dim) for e in col_slots]))
@@ -286,7 +302,7 @@ class TestContractDifferential:
     def test_matches_reference(self, net, p, seed, reduced):
         rng = np.random.Generator(np.random.PCG64(seed))
         low, high = (0, p) if reduced else (-(2**62), 2**62)
-        shapes = {v: tuple(e.dim for e in tensor_axes(net, v)) for v in net.internal_vertices}
+        shapes = {v: shape(net, v) for v in net.internal_vertices}
         tensors = {v: rng.integers(low, high, size=s, dtype=np.int64) for v, s in shapes.items()}
         ta = TensorAssignment(PrimeField(p), tensors)
         fast, slow = contract(net, ta), contract_reference(net, ta)
@@ -320,7 +336,7 @@ class TestSizeGuard:
         net = tensor_power(fixture("fig2_counterexample"), 6)
         # Zero-stride stand-ins of the right shapes: nothing is allocated.
         tensors = {
-            v: np.broadcast_to(np.int64(0), tuple(e.dim for e in tensor_axes(net, v)))
+            v: np.broadcast_to(np.int64(0), shape(net, v))
             for v in net.internal_vertices
         }
         with pytest.raises(TooLargeError):
