@@ -24,8 +24,14 @@ order (a lex-leader symmetry break): sorting the rows of a valid protocol
 gives a valid protocol, and the first one the unpruned enumeration finds
 is already sorted.  When l is the number of source rows, the only such
 encoder is the canonical bijection, so the search pins it.  And l above
-the product of the sink in-edge alphabets is impossible outright, since
-two messages would share a sink tuple.
+the directed min-cut is impossible outright, by the cut-set bound
+(Ahlswede, Cai, Li and Yeung, "Network information flow", IEEE Trans.
+IT 2000): in an acyclic network the symbols on the arcs crossing a cut
+decide every sink tuple, and a stage pair is one cut unit, so a late
+stage never reads across a cut.  On a network of more than
+``ENUMERATION_LIMIT`` cut units, where :func:`~entcap.netmodel.min_cut`
+refuses, the bound falls back to the source and sink cuts: the product
+of the source out-edge alphabets and of the sink in-edge alphabets.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .netmodel import (
     Network,
     NetworkError,
     TooLargeError,
+    min_cut,
     topological_order,
 )
 from .tnrank import MAX_ENTRIES
@@ -281,7 +288,13 @@ class _Searcher:
     """The lazy enumeration; ``prune=False`` turns both prunes and the
     encoder pin off, which keeps the plain enumeration as the test oracle
     for the pruned one.  The oracle pins the encoder only when
-    ``cfg.fix_source_bijection`` is set."""
+    ``cfg.fix_source_bijection`` is set.
+
+    The pruned search refuses l above ``max_l``: the directed min-cut,
+    or, on a network past the enumeration limit of
+    :func:`~entcap.netmodel.min_cut`, the smaller of the source-cut and
+    sink-cut products.  The oracle refuses only l above the source rows.
+    """
 
     def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
         self.full = _compile(net)
@@ -296,6 +309,14 @@ class _Searcher:
         self.max_l = self.P
         if prune:
             self.max_l = min(self.P, prod(dim for _, dim in self.full.sink))
+            # The cut-set bound.  The min-cut is no wider than the source
+            # or sink cut, so only an l that those admit needs it; past
+            # the enumeration limit those end cuts stay the bound.
+            if 1 < self.l <= self.max_l:
+                try:
+                    self.max_l = min_cut(net).value
+                except TooLargeError:
+                    pass
 
         # Only live steps compute: those a source feeds (a sink forwards
         # nothing), writing only the out-edges a sink or a live step reads
@@ -331,7 +352,7 @@ class _Searcher:
     def run(self) -> SearchResult:
         if self.l > self.max_l:
             # Pigeonhole: two messages must share their source symbols or
-            # their sink tuples; no protocol can decode.
+            # the symbols crossing some cut; no protocol can decode.
             return SearchResult("impossible", None, 0)
         # The encoder walks all P source rows, each live table is allocated
         # in full, and a witness holds a full table for every internal
@@ -434,11 +455,14 @@ def exhaustive_achievable(net: Network, cfg: SearchConfig) -> SearchResult:
     """Search all protocols for alphabet size ``cfg.alphabet_size``.
 
     Returns the lexicographically first witness under the deterministic
-    lazy enumeration, ``impossible`` only after exhausting the space, or
-    ``budget_exceeded``.  When l equals the product of the source
-    out-edge alphabets, the encoder is pinned to the canonical bijection:
-    its rows must be distinct, and the message-order break admits only
-    the increasing run of all of them.
+    lazy enumeration, ``impossible`` after exhausting the space, or
+    ``budget_exceeded``.  An l above the directed min-cut is
+    ``impossible`` with 0 assignments, by the cut-set bound; past the
+    enumeration limit of :func:`~entcap.netmodel.min_cut`, only an l
+    above the source-cut or sink-cut product is.  When l equals the
+    product of the source out-edge alphabets, the encoder is pinned to
+    the canonical bijection: its rows must be distinct, and the
+    message-order break admits only the increasing run of all of them.
     """
     return _Searcher(net, cfg).run()
 

@@ -10,6 +10,7 @@ bound on the chance that the true value is larger.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -125,10 +126,16 @@ def random_assignment(net: Network, field: PrimeField, seed: int) -> TensorAssig
     the axes of :func:`_wiring`.
 
     Identical inputs reproduce identical assignments on any platform.
+
+    Raises:
+        TooLargeError: a tensor would exceed ``MAX_ENTRIES``, checked
+            before any tensor is drawn.
     """
+    shapes = {v: tuple(e.dim for e in axes) for v, axes in _wiring(net)[0].items()}
+    for v, shape in shapes.items():
+        _check_entries(f"the tensor at {v!r}", prod(shape))
     tensors = {}
-    for v, axes in _wiring(net)[0].items():
-        shape = tuple(e.dim for e in axes)
+    for v, shape in shapes.items():
         rng = np.random.Generator(np.random.PCG64(_vertex_seed(seed, v)))
         tensors[v] = rng.integers(0, field.p, size=shape, dtype=np.int64)
     return TensorAssignment(field=field, tensors=tensors)
@@ -198,6 +205,7 @@ def _check_entries(what: str, n: int) -> None:
         raise TooLargeError(f"{what} would have {n} entries, above the limit {MAX_ENTRIES}")
 
 
+@functools.lru_cache(maxsize=1)
 def _plan_contraction(net: Network) -> _Plan:
     """Greedy pairwise order, and the size guard for every array it makes.
 
@@ -205,6 +213,11 @@ def _plan_contraction(net: Network) -> _Plan:
     fewest entries merges first; factors sharing none merge last, by outer
     products.  Raises :class:`TooLargeError` if an input tensor, an
     intermediate or the boundary matrix would exceed ``MAX_ENTRIES``.
+
+    The plan is a pure function of the frozen network, and the last one
+    is kept: back-to-back plans of an equal network, as
+    :func:`estimate_r1`'s guard and then each trial's :func:`contract`,
+    are made once.  ``__wrapped__`` is the unmemoized function.
     """
     axes_of, row_slots, col_slots = _wiring(net)
     rows = prod(e.dim for e in row_slots)
@@ -458,6 +471,9 @@ def estimate_r1(
     bounded Schwartz-Zippel style by D/p: each boundary entry takes one
     factor from each internal tensor, so a k x k minor (k the max
     possible rank) has degree D = k times the internal vertex count.
+
+    The guard's contraction plan is the one every trial's
+    :func:`contract` reuses (:func:`_plan_contraction` keeps the last plan).
 
     Raises:
         TooLargeError: :func:`contract` would exceed ``MAX_ENTRIES``,

@@ -29,8 +29,10 @@ from entcap.codingsearch import (
 )
 from entcap.fixtures import diamond_network, fixture, path_network
 from entcap.netmodel import (
+    ENUMERATION_LIMIT,
     CyclicNetworkError,
     Edge,
+    TooLargeError,
     is_acyclic,
     min_cut,
     network,
@@ -38,6 +40,7 @@ from entcap.netmodel import (
     random_network,
     topological_order,
 )
+from entcap.transforms import SplitSpec, split_cycle_edge
 
 
 def oriented_path(*dims):
@@ -194,8 +197,10 @@ class TestExhaustiveSearch:
     # The same searches pruned: fewer assignments, the same witnesses.  At
     # l = 6, every source row, the pruned search pins the encoder whether
     # or not the oracle's flag is set, so those rows match the flagged oracle.
-    # The two n_d5 rows are the impossibility proofs that the
-    # diamond-bounds benchmark times.
+    # The n_d5_4 row is the impossibility proof that the diamond-bounds
+    # benchmark times, at l = 6 and directed MC 6.  The n_d5_2 row asks
+    # for l = 5 above its directed MC 4, so the cut-set bound refuses it
+    # with no assignment.
     @pytest.mark.parametrize(
         "name, l, fix, expected",
         [
@@ -204,7 +209,7 @@ class TestExhaustiveSearch:
             ("n4_split_2x2", 6, True, ("witness", 42, N4_L6_WITNESS)),
             ("n4_split_2x2", 6, False, ("witness", 42, N4_L6_WITNESS)),
             ("n_d5_4:d5=vu", 6, True, ("impossible", 43_472, None)),
-            ("n_d5_2:d5=uv", 5, True, ("impossible", 9_318, None)),
+            ("n_d5_2:d5=uv", 5, True, ("impossible", 0, None)),
             ("n2_up", 6, False, ("impossible", 1773, None)),
         ],
     )
@@ -217,17 +222,34 @@ class TestExhaustiveSearch:
         witness = protocol_to_obj(res.witness) if res.witness else None
         assert (res.status, res.assignments, witness) == expected
 
-    def test_sink_pigeonhole(self):
+    def test_cut_set_bound(self):
         # Sink in-edges of dims 1 and 2: three messages cannot all differ
-        # there, although the source offers 2 * 2 rows.
-        net = orient(
+        # there, although the source offers 2 * 2 rows.  On s -> a -> b -> t
+        # with dims (3, 1, 3) the middle cut, of dim 1, is narrower than
+        # both end cuts: two messages cannot both cross it.
+        sink_cut = orient(
             diamond_network(2, 2, 1, 2, 1),
             {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv", "d5": "uv"},
         )
-        pruned = exhaustive_achievable(net, SearchConfig(alphabet_size=3))
-        oracle = _Searcher(net, SearchConfig(alphabet_size=3), prune=False).run()
-        assert (pruned.status, pruned.assignments) == ("impossible", 0)
-        assert oracle.status == "impossible" and oracle.assignments > 0
+        middle_cut = oriented_path(3, 1, 3)
+        for net, l in ((sink_cut, 3), (middle_cut, 2)):
+            assert min_cut(net).value < l
+            pruned = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
+            oracle = _Searcher(net, SearchConfig(alphabet_size=l), prune=False).run()
+            assert (pruned.status, pruned.assignments) == ("impossible", 0)
+            assert oracle.status == "impossible" and oracle.assignments > 0
+
+    def test_cut_set_bound_past_the_enumeration_limit(self):
+        # 21 cut units: min_cut refuses, so the search keeps the source and
+        # sink cuts as its bound and still finds the dim-2 chain's code.
+        net = oriented_path(*[2] * 22)
+        assert len(net.internal_vertices) == ENUMERATION_LIMIT + 1
+        with pytest.raises(TooLargeError):
+            min_cut(net)
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=2))
+        assert res.status == "witness" and is_valid(net, res.witness)
+        above = exhaustive_achievable(net, SearchConfig(alphabet_size=3))
+        assert (above.status, above.assignments) == ("impossible", 0)
 
     def test_no_symbol_toward_a_source(self):
         # A source reads nothing, so n's edge e into the source s2 carries 0.
@@ -283,9 +305,15 @@ def _witness_json(res):
 
 
 def _differential_corpus():
-    """The staged fixtures, every acyclic orientation of the (2,3,3,2,4)
-    diamond, and acyclic random orientations of random networks."""
+    """The staged fixtures, the split diamonds with dims 2..3 and splits
+    1x2, 2x1, 2x2, 1x3 and 3x1, every acyclic orientation of the
+    (2,3,3,2,4) diamond, and acyclic random orientations of random
+    networks."""
     corpus = [(name, fixture(name)) for name in ("n2_up", "n4_split_2x2")]
+    for a, b in ((1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        for dims in itertools.product(range(2, 4), repeat=4):
+            net = split_cycle_edge(diamond_network(*dims, a * b), SplitSpec("d5", a, b))
+            corpus.append((f"split-{a}x{b}-" + "-".join(map(str, dims)), net))
     diamond = diamond_network(2, 3, 3, 2, 4)
     eids = [e.id for e in diamond.edges]
     for dirs in itertools.product(("uv", "vu"), repeat=len(eids)):

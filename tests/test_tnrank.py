@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entcap.fixtures import diamond_network, fixture, path_network, r1_witness_n2
+from entcap.fixtures import (
+    FIXTURE_NAMES,
+    diamond_network,
+    fixture,
+    path_network,
+    r1_witness_n2,
+)
 from entcap.netmodel import (
     Edge,
     NetworkError,
     TooLargeError,
+    drop_orientations,
+    dump_network,
+    load_network,
+    merge_stage_pairs,
     network,
     orient,
     random_network,
@@ -22,6 +32,7 @@ from entcap.tnrank import (
     BoundaryMatrix,
     PrimeField,
     TensorAssignment,
+    _plan_contraction,
     contract,
     diamond_r1,
     estimate_r1,
@@ -114,6 +125,12 @@ class TestRandomAssignment:
     def test_no_internal_vertices(self):
         net = network(["s", "t"], [Edge("e", "s", "t", 4)], ["s"], ["t"])
         assert random_assignment(net, PrimeField(), seed=0).tensors == {}
+
+    def test_oversized_tensor_refused_before_drawing(self):
+        # n1's tensor would have 10^12 entries (7.28 TiB of int64).
+        net = path_network(10**6, 10**6)
+        with pytest.raises(TooLargeError, match="the tensor at 'n1'"):
+            random_assignment(net, PrimeField(), seed=0)
 
 
 class TestContract:
@@ -472,6 +489,50 @@ class TestEstimateR1:
     def test_stored_witness_certifies_six(self):
         net, ta = r1_witness_n2()
         assert rank_mod_p(contract(net, ta)) == 6
+
+
+def _ranked(net):
+    """The network that :func:`estimate_r1` plans and ranks."""
+    return merge_stage_pairs(drop_orientations(net))
+
+
+def _property_suite_networks():
+    """The 200 random networks of the property-suite claim at seed 0."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    return [random_network(rng) for _ in range(200)]
+
+
+class TestPlanMemo:
+    def test_estimate_plans_once(self):
+        _plan_contraction.cache_clear()
+        estimate_r1(fixture("fig2_counterexample"), trials=3)
+        info = _plan_contraction.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    @pytest.mark.parametrize(
+        "nets",
+        [[fixture(name) for name in FIXTURE_NAMES], _property_suite_networks()],
+        ids=["fixtures", "property-suite"],
+    )
+    def test_memoized_plan_matches_unmemoized(self, nets):
+        for net in map(_ranked, nets):
+            _plan_contraction.cache_clear()
+            first = _plan_contraction(net)
+            # An equal network rebuilt from its JSON is a hit.
+            again = _plan_contraction(load_network(dump_network(net)))
+            assert _plan_contraction.cache_info().hits == 1
+            assert first == again == _plan_contraction.__wrapped__(net)
+
+    def test_alternating_networks(self):
+        nets = [fixture("fig2_counterexample"), fixture("n4_split_2x2")]
+        tas = [random_assignment(net, PrimeField(), seed=3) for net in nets]
+        fresh = []
+        for net, ta in zip(nets, tas):
+            _plan_contraction.cache_clear()
+            fresh.append(contract(net, ta).matrix)
+        for _ in range(2):
+            for net, ta, expected in zip(nets, tas, fresh):
+                assert np.array_equal(contract(net, ta).matrix, expected)
 
 
 def _rank_over_q(rows) -> int:
