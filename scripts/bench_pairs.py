@@ -23,6 +23,11 @@ mean of the per-layer metrics that either side reports as non-zero.
 Each metric is summarised by its runs, median and quartiles (inclusive
 method); the claim adds how many pairs the change wins, the ratio and
 difference of the medians and the parent's interquartile range.
+
+A run that exits non-zero drops its pair, or its workload's traced rows,
+from the summaries and is listed under ``failed_runs``.  The file is
+still written, and the script then exits 1 with one line naming the
+first failed run.
 """
 
 from __future__ import annotations
@@ -52,11 +57,19 @@ def seed_text(seeds: list[int]) -> str:
     return f"{seeds[0]}-{seeds[-1]}" if len(seeds) > 1 else str(seeds[0])
 
 
+class RunFailed(Exception):
+    """A perfbench run exited non-zero; ``run`` is its entry for ``failed_runs``."""
+
+    def __init__(self, run: dict):
+        super().__init__(run)
+        self.run = run
+
+
 def run_bench(checkouts: dict, side: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One perfbench run in ``side``'s checkout: the JSON object of its last stdout line.
 
-    A run that exits non-zero ends the script with exit 1 and one line
-    naming the run, before any output file is written.
+    A run that exits non-zero raises :class:`RunFailed` with its side,
+    workload, seed, trace flag, exit code and last stderr line.
     """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -65,7 +78,9 @@ def run_bench(checkouts: dict, side: str, workload: str, seed: int, seconds: flo
     )
     if proc.returncode:
         last = proc.stderr.strip().splitlines()[-1:] or ["no stderr"]
-        sys.exit(f"error: {side} run of {workload} seed {seed} exited {proc.returncode}: {last[0]}")
+        print(f"{workload} seed {seed} {side}: exited {proc.returncode}: {last[0]}", file=sys.stderr)
+        raise RunFailed({"side": side, "workload": workload, "seed": seed, "trace": trace,
+                         "exit_code": proc.returncode, "stderr": last[0]})
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -78,19 +93,28 @@ def summary(runs: list[float]) -> dict:
             "runs": [round(r, 4) for r in runs]}
 
 
-def paired_runs(checkouts: dict, workload: str, seeds: list[int], seconds: float) -> list[dict]:
-    """One result per side and seed: ``[{side: result}, ...]`` in seed order."""
-    pairs = []
+def paired_runs(checkouts: dict, workload: str, seeds: list[int], seconds: float,
+                failed: list) -> tuple[list[dict], list[int]]:
+    """One result per side and seed, ``[{side: result}, ...]`` in seed
+    order, and the seeds of those pairs.  A pair with a failed run is left
+    out, and each failed run is appended to ``failed``."""
+    pairs, kept = [], []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pair = {}
         for side in order:
-            pair[side] = run_bench(checkouts, side, workload, seed, seconds, 0)
+            try:
+                pair[side] = run_bench(checkouts, side, workload, seed, seconds, 0)
+            except RunFailed as exc:
+                failed.append(exc.run)
+                continue
             value = pair[side]["metrics"]
             print(f"{workload} seed {seed} {side}: "
                   + ", ".join(f"{k} {m['value']:.4g}" for k, m in value.items()), file=sys.stderr)
-        pairs.append(pair)
-    return pairs
+        if len(pair) == len(SIDES):
+            pairs.append(pair)
+            kept.append(seed)
+    return pairs, kept
 
 
 def workload_rows(pairs: list[dict], seeds: list[int]) -> dict:
@@ -206,14 +230,17 @@ def main(argv=None) -> int:
         + " Written by scripts/bench_pairs.py."
     ).strip()
     out = {"note": note, "machine": machine()}
-    pairs = paired_runs(checkouts, claim_workload, args.claim_seeds, seconds)
-    out["claim"] = claim_rows(pairs, args.claim_seeds, claim_workload, claim_metric, better[claim_metric])
+    failed = []
+    pairs, kept = paired_runs(checkouts, claim_workload, args.claim_seeds, seconds, failed)
+    if pairs:
+        out["claim"] = claim_rows(pairs, kept, claim_workload, claim_metric, better[claim_metric])
     if args.other_seeds:
-        out["workloads"] = {
-            w: workload_rows(paired_runs(checkouts, w, args.other_seeds, seconds), args.other_seeds)
-            for w in workloads
-            if w != claim_workload
-        }
+        out["workloads"] = {}
+        for w in workloads:
+            if w != claim_workload:
+                pairs_w, kept_w = paired_runs(checkouts, w, args.other_seeds, seconds, failed)
+                if pairs_w:
+                    out["workloads"][w] = workload_rows(pairs_w, kept_w)
     if args.trace_workloads:
         out["per_layer_trace1"] = {
             "note": f"two --trace 1 runs per side and workload, seed {TRACE_SEED}, in the order "
@@ -221,13 +248,24 @@ def main(argv=None) -> int:
                     "(a metric equal in both keeps its value); self times are raw seconds of one "
                     "traced pass (median over traced passes); metrics that read 0 on both sides "
                     "are left out",
-            **{w: traced_rows(checkouts, w, TRACE_SEED, seconds) for w in args.trace_workloads},
         }
+        for w in args.trace_workloads:
+            try:
+                out["per_layer_trace1"][w] = traced_rows(checkouts, w, TRACE_SEED, seconds)
+            except RunFailed as exc:
+                failed.append(exc.run)
+    if failed:
+        out["failed_runs"] = failed
     args.out.write_text(json.dumps(out, indent=2) + "\n")
-    claim = out["claim"]
-    print(f"{claim_workload} {claim_metric}: parent {claim['parent']['median']} -> change "
-          f"{claim['change']['median']}, change wins {claim['change_wins']}, "
-          f"parent IQR {claim['parent_iqr']}, median difference {claim['median_difference']}")
+    if "claim" in out:
+        claim = out["claim"]
+        print(f"{claim_workload} {claim_metric}: parent {claim['parent']['median']} -> change "
+              f"{claim['change']['median']}, change wins {claim['change_wins']}, "
+              f"parent IQR {claim['parent_iqr']}, median difference {claim['median_difference']}")
+    if failed:
+        first = failed[0]
+        sys.exit(f"error: {first['side']} run of {first['workload']} seed {first['seed']} "
+                 f"exited {first['exit_code']}: {first['stderr']}")
     return 0
 
 

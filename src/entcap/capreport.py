@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .codingsearch import BudgetExceededError, DEFAULT_BUDGET, SearchConfig, c1_exact
 from .netmodel import Network, NetworkError, flow_orientation, is_acyclic, min_cut, orient
-from .tnrank import PrimeField, diamond_r1, estimate_r1
+from .tnrank import diamond_r1, estimate_r1
 from .transforms import SplitSpec, split_cycle_edge
 
 
@@ -110,7 +110,7 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         NetworkError: no orientation is acyclic and no split was given, so
             there is no variant to search.
     """
-    est = estimate_r1(net, PrimeField(), trials=options.rank_trials, seed=options.seed)
+    est = estimate_r1(net, trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
 
     carrying = _carrying(net)

@@ -30,7 +30,7 @@ from .netmodel import (
     tensor_power,
 )
 from .reproduce import CLAIMS, run_claim
-from .tnrank import PrimeField, estimate_r1
+from .tnrank import MAX_TRIALS, PrimeField, estimate_r1
 from .transforms import SplitSpec, round_networks, split_cycle_edge
 
 EXIT_OK, EXIT_FAIL, EXIT_BAD_INPUT, EXIT_BUDGET = 0, 1, 2, 3
@@ -57,21 +57,23 @@ def _fail(code, message):
     return SystemExit(code)
 
 
-def _int_at_least(low):
-    """argparse ``type=``: an integer >= ``low``."""
+def _int_in(low, high=math.inf):
+    """argparse ``type=``: an integer from ``low`` to ``high``."""
+    wanted = f">= {low}" if high == math.inf else f"from {low} to {high}"
 
     def parse(text):
         try:
-            if int(text) >= low:
+            if low <= int(text) <= high:
                 return int(text)
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer {wanted}, got {text!r}")
 
     return parse
 
 
-_positive, _non_negative = _int_at_least(1), _int_at_least(0)
+_positive, _non_negative = _int_in(1), _int_in(0)
+_trials = _int_in(1, MAX_TRIALS)
 
 
 def _prime_field(text) -> PrimeField:
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="randomized one-shot tensor-network capacity")
     p.add_argument("file")
     p.add_argument("--prime", type=_prime_field, default=PrimeField(), help="a prime below 2^31")
-    p.add_argument("--trials", type=_positive, default=3)
+    p.add_argument("--trials", type=_trials, default=3)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.set_defaults(func=cmd_rank)
 
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--split", type=_split_spec, action="append", help="EDGE:a:b split variant (repeatable)"
     )
-    p.add_argument("--trials", type=_positive, default=3)
+    p.add_argument("--trials", type=_trials, default=3)
     p.add_argument("--seed", type=_non_negative, default=0)
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET, help=_BUDGET_HELP)
     p.set_defaults(func=cmd_bounds)

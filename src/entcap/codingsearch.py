@@ -7,7 +7,9 @@ symbol tuples is injective, so the decoder is never represented.
 Each network is compiled once, by :func:`_compile`: one pass over the
 edges lists the ports each internal vertex reads and writes, and the
 validator, the size guard, the search and the witness builder all read
-that plan.  Only live vertices compute in the search: those a source
+that plan.  The last plan is kept, so a search and the ``is_valid`` of
+its witness, or every size of a :func:`c1_exact` scan, compile the
+network once.  Only live vertices compute in the search: those a source
 feeds, writing the edges that a sink or a live vertex reads.
 
 The exhaustive search assigns table entries lazily, branching only on
@@ -28,7 +30,8 @@ the directed min-cut is impossible outright, by the cut-set bound
 (Ahlswede, Cai, Li and Yeung, "Network information flow", IEEE Trans.
 IT 2000): in an acyclic network the symbols on the arcs crossing a cut
 decide every sink tuple, and a stage pair is one cut unit, so a late
-stage never reads across a cut.  On a network of more than
+stage never reads across a cut.  The last network's min-cut is kept
+too, so a scan computes it once.  On a network of more than
 ``ENUMERATION_LIMIT`` cut units, where :func:`~entcap.netmodel.min_cut`
 refuses, the bound falls back to the source and sink cuts: the product
 of the source out-edge alphabets and of the sink in-edge alphabets.
@@ -36,6 +39,7 @@ of the source out-edge alphabets and of the sink in-edge alphabets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from itertools import islice, product
 from math import prod
@@ -162,6 +166,7 @@ def _tuple_reader(positions: tuple):
     return lambda sym: ()
 
 
+@functools.lru_cache(maxsize=1)
 def _compile(net: Network) -> _Plan:
     """The one reading of the network's wiring: a step for every internal
     vertex in :func:`~entcap.netmodel.topological_order`, reading its
@@ -169,7 +174,8 @@ def _compile(net: Network) -> _Plan:
     stage) and writing all of its out-edges.
 
     Raises on an undirected edge or a directed cycle, before any port is
-    listed.
+    listed.  The last plan is kept, and no caller mutates it;
+    ``__wrapped__`` is the unmemoized function.
     """
     order = topological_order(net)
     late_of = dict(net.stage_pairs)
@@ -284,16 +290,28 @@ class _Budget(Exception):
     pass
 
 
+@functools.lru_cache(maxsize=1)
+def _directed_min_cut(net: Network) -> int | None:
+    """The min-cut value of ``net``, or None past the enumeration limit of
+    :func:`~entcap.netmodel.min_cut`.  The last value is kept, so the
+    searches of one scan compute it once."""
+    try:
+        return min_cut(net).value
+    except TooLargeError:
+        return None
+
+
 class _Searcher:
     """The lazy enumeration; ``prune=False`` turns both prunes and the
     encoder pin off, which keeps the plain enumeration as the test oracle
     for the pruned one.  The oracle pins the encoder only when
     ``cfg.fix_source_bijection`` is set.
 
-    The pruned search refuses l above ``max_l``: the directed min-cut,
-    or, on a network past the enumeration limit of
-    :func:`~entcap.netmodel.min_cut`, the smaller of the source-cut and
-    sink-cut products.  The oracle refuses only l above the source rows.
+    The pruned search refuses l above ``max_l``: the directed min-cut
+    (:func:`_directed_min_cut`), or, on a network past the enumeration
+    limit of :func:`~entcap.netmodel.min_cut`, the smaller of the
+    source-cut and sink-cut products.  The oracle refuses only l above
+    the source rows.
     """
 
     def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
@@ -313,10 +331,9 @@ class _Searcher:
             # or sink cut, so only an l that those admit needs it; past
             # the enumeration limit those end cuts stay the bound.
             if 1 < self.l <= self.max_l:
-                try:
-                    self.max_l = min_cut(net).value
-                except TooLargeError:
-                    pass
+                cut = _directed_min_cut(net)
+                if cut is not None:
+                    self.max_l = cut
 
         # Only live steps compute: those a source feeds (a sink forwards
         # nothing), writing only the out-edges a sink or a live step reads

@@ -34,6 +34,11 @@ MERSENNE_31 = 2**31 - 1
 #: tensor, an intermediate or the boundary matrix (2^24 int64 entries are 128 MiB).
 MAX_ENTRIES = 2**24
 
+#: The most trials :func:`estimate_r1` runs.  Its failure bound is
+#: (D/p)^trials, and for every accepted p < 2^31, p^256 has under 2,400
+#: digits, inside Python's 4300-digit limit for printing an integer.
+MAX_TRIALS = 256
+
 
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for 64-bit integers."""
@@ -434,7 +439,9 @@ class R1Estimate:
     reaches it, and :attr:`witness` redraws that assignment on ``net``,
     the network that was ranked.  The ``failure_bound`` only qualifies
     the claim that it equals the true maximal rank.  ``mc_upper`` is the
-    min-cut of ``net``.
+    min-cut of ``net``.  ``trials`` is the count requested, and the
+    bound is computed from it even when the trials stopped early at
+    ``mc_upper``: there the chance of a miss is 0, so the bound still holds.
     """
 
     r1_lower: int
@@ -472,15 +479,23 @@ def estimate_r1(
     factor from each internal tensor, so a k x k minor (k the max
     possible rank) has degree D = k times the internal vertex count.
 
+    The boundary map factors through every cut, so no rank over any
+    field exceeds the min-cut (Cui, Freedman, Sattath, Stong and Minton,
+    "Quantum max-flow/min-cut", 2016).  A trial that reaches it settles
+    R1, and the trials stop there.  Only a strictly larger rank replaces
+    the kept one, so ``witness_seed`` is the first trial that reached the
+    maximum, as it would be after every trial.
+
     The guard's contraction plan is the one every trial's
     :func:`contract` reuses (:func:`_plan_contraction` keeps the last plan).
 
     Raises:
+        ValueError: ``trials`` is not from 1 to ``MAX_TRIALS``.
         TooLargeError: :func:`contract` would exceed ``MAX_ENTRIES``,
             checked before any tensor is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be from 1 to {MAX_TRIALS}")
     net = merge_stage_pairs(drop_orientations(net))
     mc = min_cut(net).value
     plan = _plan_contraction(net)
@@ -490,6 +505,8 @@ def estimate_r1(
         r = rank_mod_p(contract(net, random_assignment(net, field, s)))
         if r > best_rank:
             best_rank, best_seed = r, s
+            if r == mc:
+                break
     degree = min(plan.rows, plan.cols) * len(net.internal_vertices)
     per_trial = min(Fraction(1), Fraction(degree, field.p))
     return R1Estimate(

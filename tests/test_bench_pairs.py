@@ -71,7 +71,40 @@ def test_failed_run_exits_1_with_one_line(bench_pairs, tmp_path):
                           "--claim", "w:solve_s", "--claim-seeds", "7", "--out", str(out)])
     assert exc.value.code == ("error: parent run of w seed 7 exited 1: "
                               "statistics.StatisticsError: fmean requires at least one data point")
-    assert not out.exists()
+    # The file is still written, with both failed runs and no claim.
+    written = json.loads(out.read_text())
+    assert "claim" not in written
+    assert [(r["side"], r["seed"], r["exit_code"]) for r in written["failed_runs"]] == [
+        ("parent", 7, 1), ("change", 7, 1)
+    ]
+
+
+def test_one_failed_seed_keeps_the_other_pairs(bench_pairs, tmp_path):
+    bench = {"run_seconds": 1, "workloads": [{"name": "w"}],
+             "end_to_end": [{"name": "solve_s", "better": "lower"}]}
+    # Seeds listed in a checkout's fail.json crash; any other prints solve_s = seed / 10.
+    run_py = ("import json, sys\n"
+              "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+              "if seed in json.load(open('fail.json')):\n"
+              "    print('statistics.StatisticsError: fmean requires at least one data point', file=sys.stderr)\n"
+              "    sys.exit(1)\n"
+              "print(json.dumps({'failed': 0, 'metrics': {'solve_s': {'value': seed / 10}}}))\n")
+    for side, fail in (("parent", []), ("change", [8])):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        (tmp_path / side / "perfbench" / "run.py").write_text(run_py)
+        (tmp_path / side / "fail.json").write_text(json.dumps(fail))
+    out = tmp_path / "BENCH_out.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--claim", "w:solve_s", "--claim-seeds", "7-9", "--out", str(out)])
+    assert exc.value.code.startswith("error: change run of w seed 8 exited 1: ")
+    written = json.loads(out.read_text())
+    claim = written["claim"]
+    assert claim["seeds"] == [7, 9]
+    assert claim["parent"]["runs"] == claim["change"]["runs"] == [0.7, 0.9]
+    assert claim["change_wins"] == "0/2"
+    assert [(r["side"], r["workload"], r["seed"]) for r in written["failed_runs"]] == [("change", "w", 8)]
 
 
 def test_traced_rows_average_runs_taken_parent_change_change_parent(bench_pairs, tmp_path):

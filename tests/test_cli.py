@@ -319,6 +319,14 @@ class TestRank:
         assert code == EXIT_BAD_INPUT
         assert err.startswith("error:")
 
+    def test_trials_at_the_cap_prints(self, capsys, fixture_file):
+        # fig2's R1 of 14 is below its MC of 15, so all 256 trials run.
+        code, out, _ = run(capsys, ["rank", fixture_file("fig2_counterexample"), "--trials", "256"])
+        assert code == EXIT_OK
+        obj = json.loads(out)
+        assert (obj["r1_lower"], obj["trials"]) == (14, 256)
+        assert obj["failure_bound"].endswith(f"/{(2**31 - 1) ** 256}")
+
 
 class TestC1:
     def test_witness(self, capsys, fixture_file):
@@ -481,6 +489,10 @@ class TestBadArguments:
             ("rank", "path_2_3", "--seed -1"),
             ("bounds", "n_d5_4", "--split d5:x"),
             ("bounds", "path_2_3", "--trials 0"),
+            # Above the trials cap: (D/p)^trials would pass the 4300-digit
+            # print limit from 461 trials on fig2.
+            ("rank", "fig2_counterexample", "--trials 257"),
+            ("bounds", "n_d5_2", "--trials 257"),
             # One orientation rule: terminal edges point with the flow.
             ("bounds", "n_d5_2", "--full-orientations"),
             # Whether R1 is exact is worked out from the network, not set.
@@ -603,7 +615,8 @@ class TestBadArguments:
 _DATA = resources.files("entcap") / "data"
 
 #: Small counts, with a third of the draws invalid.  (A huge valid count
-#: is no fault but a long run: ``--trials`` 10^30 draws 10^30 trials.)
+#: is no fault but may be a long run, as a search under ``--budget``
+#: 10^30; ``--trials`` above the cap of 256 is refused.)
 _numbers = st.sampled_from([*"123456"] * 2 + ["0", "-1", "x", "", "1.5", "+"])
 #: Each flag of any subcommand, with the values to draw for it (None: no value).
 _FLAGS = {

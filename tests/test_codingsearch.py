@@ -15,6 +15,7 @@ from entcap.codingsearch import (
     SearchConfig,
     _Searcher,
     _compile,
+    _directed_min_cut,
     _forward,
     _protocol_plan,
     _source_symbols,
@@ -33,7 +34,9 @@ from entcap.netmodel import (
     CyclicNetworkError,
     Edge,
     TooLargeError,
+    dump_network,
     is_acyclic,
+    load_network,
     min_cut,
     network,
     orient,
@@ -538,6 +541,42 @@ class TestC1Exact:
         searched.clear()
         assert c1_exact(oriented_path(2, 3), 4) == 2
         assert searched == [4, 1, 2, 3]
+
+
+class TestMemos:
+    def test_search_then_is_valid_compiles_once(self):
+        net = fixture("n4_split_2x2")
+        _compile.cache_clear()
+        result = exhaustive_achievable(net, SearchConfig(alphabet_size=6))
+        assert is_valid(net, result.witness)
+        info = _compile.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_memoized_plan_matches_unmemoized(self):
+        for _, net in CORPUS:
+            _compile.cache_clear()
+            _compile(net)
+            # An equal network rebuilt from its JSON is a hit.
+            plan = _compile(load_network(dump_network(net)))
+            assert _compile.cache_info().hits == 1
+            fresh = _compile.__wrapped__(net)
+            # itemgetter objects compare by identity: compare what they read.
+            sym = [10 * pos + 1 for pos in range(plan.size)]
+            assert plan.read_sink(sym) == fresh.read_sink(sym)
+            assert plan._replace(read_sink=None) == fresh._replace(read_sink=None)
+
+    def test_scan_computes_the_min_cut_once(self, monkeypatch):
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return min_cut(net)
+
+        monkeypatch.setattr(codingsearch, "min_cut", counting)
+        _directed_min_cut.cache_clear()
+        vu = {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv", "d5": "vu"}
+        assert c1_exact(orient(fixture("n_d5_4"), vu), 6) == 5
+        assert len(calls) == 1
 
 
 def _ascending_c1(net, l_max, cfg):

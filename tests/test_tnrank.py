@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from entcap import tnrank
 from entcap.fixtures import (
     FIXTURE_NAMES,
     diamond_network,
@@ -21,6 +22,7 @@ from entcap.netmodel import (
     dump_network,
     load_network,
     merge_stage_pairs,
+    min_cut,
     network,
     orient,
     random_network,
@@ -29,10 +31,13 @@ from entcap.netmodel import (
 )
 from entcap.tnrank import (
     MAX_ENTRIES,
+    MAX_TRIALS,
     BoundaryMatrix,
     PrimeField,
+    R1Estimate,
     TensorAssignment,
     _plan_contraction,
+    _trial_seed,
     contract,
     diamond_r1,
     estimate_r1,
@@ -486,6 +491,21 @@ class TestEstimateR1:
         with pytest.raises(ValueError):
             estimate_r1(fixture("n_d5_2"), trials=0)
 
+    @pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**30])
+    def test_trials_above_the_cap_refused(self, trials):
+        # n_d5_2's first trial reaches its MC: 10^30 would otherwise build
+        # (12/p)^(10^30) at once.
+        with pytest.raises(ValueError):
+            estimate_r1(fixture("n_d5_2"), trials=trials)
+
+    def test_failure_bound_counts_the_requested_trials(self):
+        # path_2_3's first trial reaches its MC, and the bound still
+        # counts all 256 trials; p^256 has under 2,400 digits, so it prints.
+        est = estimate_r1(fixture("path_2_3"), trials=MAX_TRIALS)
+        assert est.trials == MAX_TRIALS
+        assert est.failure_bound == Fraction(2, 2**31 - 1) ** MAX_TRIALS
+        str(est.failure_bound)
+
     def test_stored_witness_certifies_six(self):
         net, ta = r1_witness_n2()
         assert rank_mod_p(contract(net, ta)) == 6
@@ -500,6 +520,57 @@ def _property_suite_networks():
     """The 200 random networks of the property-suite claim at seed 0."""
     rng = np.random.Generator(np.random.PCG64(0))
     return [random_network(rng) for _ in range(200)]
+
+
+def _every_trial(net, field, trials, seed):
+    """:func:`estimate_r1` for 1..``trials`` trials, each running every
+    trial, without the stop at the min-cut."""
+    net = _ranked(net)
+    mc = min_cut(net).value
+    plan = _plan_contraction.__wrapped__(net)
+    degree = min(plan.rows, plan.cols) * len(net.internal_vertices)
+    per_trial = min(Fraction(1), Fraction(degree, field.p))
+    best_rank, best_seed, estimates = -1, 0, []
+    for t in range(trials):
+        s = _trial_seed(seed, t)
+        r = rank_mod_p(contract(net, random_assignment(net, field, s)))
+        if r > best_rank:
+            best_rank, best_seed = r, s
+        estimates.append(R1Estimate(best_rank, mc, per_trial ** (t + 1), t + 1, best_seed, net, field))
+    return estimates
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize(
+        "nets",
+        [
+            [fixture(name) for name in FIXTURE_NAMES]
+            + [_ranked(fixture("n2_up")), _ranked(fixture("n4_split_2x2"))],
+            _property_suite_networks(),
+        ],
+        ids=["fixtures", "property-suite"],
+    )
+    def test_matches_running_every_trial(self, nets):
+        for net, p, seed in itertools.product(nets, [2**31 - 1, 101, 2], range(3)):
+            field = PrimeField(p)
+            for trials, expected in enumerate(_every_trial(net, field, 4, seed), start=1):
+                assert estimate_r1(net, field, trials, seed) == expected
+
+    @pytest.mark.parametrize(
+        "name, trials, contracts",
+        [("n_d5_2", 3, 1), ("fig2_counterexample", 5, 5)],
+    )
+    def test_stops_at_the_min_cut(self, monkeypatch, name, trials, contracts):
+        # n_d5_2's first trial reaches its MC of 6; fig2's R1 of 14 is below its MC of 15.
+        calls = []
+
+        def counting(net, ta):
+            calls.append(net)
+            return contract(net, ta)
+
+        monkeypatch.setattr(tnrank, "contract", counting)
+        estimate_r1(fixture(name), trials=trials)
+        assert len(calls) == contracts
 
 
 class TestPlanMemo:
