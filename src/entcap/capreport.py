@@ -75,19 +75,25 @@ def _carrying(net: Network) -> Network:
 
 def _orientations(net: Network):
     """The orientations ``bounds`` tries: terminal edges point with the
-    flow, each internal-internal undirected edge tries both directions."""
-    free = []
+    flow, and the undirected edges between two internal vertices try both
+    directions, all pointing one way, as opposite parallel edges close a
+    2-cycle.  A group's direction is relative to its first edge, and groups
+    go in first-edge order, so the acyclic orientations come in the order
+    of trying every edge both ways."""
+    groups = {}
     assignment = {}
     for e in net.edges:
         if e.is_directed:
             continue
         direction = flow_orientation(net, e)
         if direction is None:
-            free.append(e.id)
+            groups.setdefault(frozenset((e.u, e.v)), []).append(e)
         else:
             assignment[e.id] = direction
-    for dirs in itertools.product(("uv", "vu"), repeat=len(free)):
-        yield {**assignment, **dict(zip(free, dirs))}
+    flip = {"uv": "vu", "vu": "uv"}
+    for dirs in itertools.product(("uv", "vu"), repeat=len(groups)):
+        chosen = zip(dirs, groups.values())
+        yield {**assignment, **{e.id: d if e.u == g[0].u else flip[d] for d, g in chosen for e in g}}
 
 
 def _variant_name(kind: str, spec) -> str:

@@ -30,8 +30,8 @@ the directed min-cut is impossible outright, by the cut-set bound
 (Ahlswede, Cai, Li and Yeung, "Network information flow", IEEE Trans.
 IT 2000): in an acyclic network the symbols on the arcs crossing a cut
 decide every sink tuple, and a stage pair is one cut unit, so a late
-stage never reads across a cut.  The last network's min-cut is kept
-too, so a scan computes it once.  On a network of more than
+stage never reads across a cut.  :func:`~entcap.netmodel.min_cut` keeps
+its last cut, so a scan computes it once.  On a network of more than
 ``ENUMERATION_LIMIT`` cut units, where :func:`~entcap.netmodel.min_cut`
 refuses, the bound falls back to the source and sink cuts: the product
 of the source out-edge alphabets and of the sink in-edge alphabets.
@@ -290,28 +290,16 @@ class _Budget(Exception):
     pass
 
 
-@functools.lru_cache(maxsize=1)
-def _directed_min_cut(net: Network) -> int | None:
-    """The min-cut value of ``net``, or None past the enumeration limit of
-    :func:`~entcap.netmodel.min_cut`.  The last value is kept, so the
-    searches of one scan compute it once."""
-    try:
-        return min_cut(net).value
-    except TooLargeError:
-        return None
-
-
 class _Searcher:
     """The lazy enumeration; ``prune=False`` turns both prunes and the
     encoder pin off, which keeps the plain enumeration as the test oracle
     for the pruned one.  The oracle pins the encoder only when
     ``cfg.fix_source_bijection`` is set.
 
-    The pruned search refuses l above ``max_l``: the directed min-cut
-    (:func:`_directed_min_cut`), or, on a network past the enumeration
-    limit of :func:`~entcap.netmodel.min_cut`, the smaller of the
-    source-cut and sink-cut products.  The oracle refuses only l above
-    the source rows.
+    The pruned search refuses l above ``max_l``: the directed min-cut,
+    or, on a network past the enumeration limit of
+    :func:`~entcap.netmodel.min_cut`, the smaller of the source-cut and
+    sink-cut products.  The oracle refuses only l above the source rows.
     """
 
     def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
@@ -331,9 +319,10 @@ class _Searcher:
             # or sink cut, so only an l that those admit needs it; past
             # the enumeration limit those end cuts stay the bound.
             if 1 < self.l <= self.max_l:
-                cut = _directed_min_cut(net)
-                if cut is not None:
-                    self.max_l = cut
+                try:
+                    self.max_l = min_cut(net).value
+                except TooLargeError:
+                    pass
 
         # Only live steps compute: those a source feeds (a sink forwards
         # nothing), writing only the out-edges a sink or a live step reads

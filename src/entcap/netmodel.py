@@ -9,6 +9,7 @@ capacity decision.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, replace
@@ -83,13 +84,6 @@ class Edge:
         if self.orientation == "vu":
             return ((self.v, self.u),)
         return ((self.u, self.v), (self.v, self.u))
-
-    def other(self, vertex: str) -> str:
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise NetworkError(f"vertex {vertex} not on edge {self.id}")
 
 
 @dataclass(frozen=True)
@@ -213,6 +207,7 @@ def cut_value(net: Network, s_side: frozenset[str]) -> int:
     return prod(e.dim for e in crossing_edges(net, s_side))
 
 
+@functools.lru_cache(maxsize=1)
 def min_cut(net: Network) -> Cut:
     """Exact multiplicative min-cut by enumeration of all vertex partitions.
 
@@ -224,7 +219,10 @@ def min_cut(net: Network) -> Cut:
     ``ENUMERATION_LIMIT`` units is refused.
 
     The witness is deterministic: among minimizers the lexicographically
-    smallest source side (by sorted vertex ids) is returned.
+    smallest source side (by sorted vertex ids) is returned.  The last cut
+    is kept, so a caller asking again for the network just cut (or an
+    equal one) gets it without a second enumeration; a refusal is not
+    kept.  ``__wrapped__`` is the unmemoized function.
 
     Raises:
         TooLargeError: more than ``ENUMERATION_LIMIT`` enumerable units.

@@ -141,11 +141,12 @@ def _claim_property_suite(seed):
     for i in range(200):
         net = random_network(rng)
         cut = min_cut(net)
+        # estimate_r1 cuts ``net`` again; right after min_cut(net), that is the kept cut.
+        est = estimate_r1(net, trials=1, seed=seed + i)
         if cut_value(net, cut.s_side) != cut.value:
             violations.append(f"net {i}: witness does not recompute")
         if min_cut(tensor_power(net, 2)).value != cut.value**2:
             violations.append(f"net {i}: MC not multiplicative")
-        est = estimate_r1(net, trials=1, seed=seed + i)
         if est.r1_lower > cut.value:
             violations.append(f"net {i}: r1 exceeds MC")
         oriented = orient(

@@ -113,7 +113,6 @@ class RoundedPair:
 
     lower: Network
     upper: Network
-    mc_lower: int  # min-cut value of the lower network
     c1: int  # crossing-edge count of the lower network's min-cut witness
     c2: int  # crossing-edge count of the n-th power's min-cut witness
 
@@ -130,7 +129,9 @@ def round_networks(net: Network, n: int) -> RoundedPair:
 
     ``c2`` is read off the min-cut of ``net`` itself: a cut of N^(boxtimes n)
     is valued as the same cut of N raised to the n-th power, so the two
-    min-cuts have the same witness, and the power is never built.
+    min-cuts have the same witness, and the power is never built.  The
+    lower network is cut last, so its min-cut is the one
+    :func:`~entcap.netmodel.min_cut` keeps.
     """
     if n < 1:
         raise NetworkError("n must be >= 1")
@@ -141,22 +142,20 @@ def round_networks(net: Network, n: int) -> RoundedPair:
         highs.append(replace(e, dim=high))
     lower = replace(net, edges=tuple(lows))
     upper = replace(net, edges=tuple(highs))
-    cut = min_cut(lower)
-    c1 = len(crossing_edges(lower, cut.s_side))
     c2 = len(crossing_edges(net, min_cut(net).s_side))
-    return RoundedPair(lower=lower, upper=upper, mc_lower=cut.value, c1=c1, c2=c2)
+    c1 = len(crossing_edges(lower, min_cut(lower).s_side))
+    return RoundedPair(lower=lower, upper=upper, c1=c1, c2=c2)
 
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """The five quantities of the power-of-two sandwich around R1(N^boxtimes n)."""
+    """The four quantities of the power-of-two sandwich around R1(N^boxtimes n),
+    and whether it and the 2^(+-c) bounds hold."""
 
     mc_lower: int
     r1_estimate: int
     mc_upper: int
     mc_power: int
-    c1: int
-    c2: int
     ok: bool
 
 
@@ -165,25 +164,26 @@ def sandwich_check(net: Network, n: int, seed: int) -> SandwichReport:
 
     The rank ignores orientations, so every network here is cut with its
     orientations dropped.  R1 and MC(N^boxtimes n) both come from one
-    :func:`~entcap.tnrank.estimate_r1` call (3 trials from ``seed``), and
-    no network is cut twice.  All comparisons are exact integer
-    comparisons; the 2^-c1 bound is checked as MC(N^boxtimes n) <= R1 * 2^c1.
+    :func:`~entcap.tnrank.estimate_r1` call (3 trials from ``seed``).
+    MC(N_l) is asked for right after :func:`round_networks` cut N_l, so
+    :func:`~entcap.netmodel.min_cut` returns its kept cut, and no network
+    is cut twice.  All comparisons are exact integer comparisons; the
+    2^-c1 bound is checked as MC(N^boxtimes n) <= R1 * 2^c1.
     """
     est = estimate_r1(tensor_power(net, n), trials=3, seed=seed)
     pair = round_networks(drop_orientations(net), n)
     r1, mc_power = est.r1_lower, est.mc_upper
+    mc_lower = min_cut(pair.lower).value
     mc_upper = min_cut(pair.upper).value
     ok = (
-        pair.mc_lower <= r1 <= mc_upper
+        mc_lower <= r1 <= mc_upper
         and mc_power <= r1 * 2**pair.c1
         and r1 <= mc_power * 2**pair.c2
     )
     return SandwichReport(
-        mc_lower=pair.mc_lower,
+        mc_lower=mc_lower,
         r1_estimate=r1,
         mc_upper=mc_upper,
         mc_power=mc_power,
-        c1=pair.c1,
-        c2=pair.c2,
         ok=ok,
     )

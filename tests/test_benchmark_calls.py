@@ -11,6 +11,8 @@ import sys
 
 import pytest
 
+from entcap import netmodel
+
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
@@ -38,3 +40,23 @@ def test_calls_answer_and_trace(workload):
     metrics = spans.layer_metrics(tracer.spans, workloads.variant_of)
     # trace_overhead_frac compares traced with plain passes, not one trace.
     assert PER_LAYER - set(metrics) == {"trace_overhead_frac"}
+
+
+#: Min-cuts each workload's pass computes, not counting those ``min_cut``
+#: returns from its kept last cut.
+CUTS_PER_PASS = {"diamond-bounds": 5, "rank-powers": 5, "repeater-mincut": 4, "reproduce": 524}
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.BUILDERS))
+def test_cuts_computed_per_pass(workload):
+    """Two passes in a row compute the same cuts, so the kept cut carries
+    no work from one benchmark pass to the next."""
+    calls = workloads.BUILDERS[workload](bench.ROOT, 1)
+    netmodel.min_cut.cache_clear()
+    computed = []
+    for _ in range(2):
+        before = netmodel.min_cut.cache_info().misses
+        for call in calls:
+            call.run()
+        computed.append(netmodel.min_cut.cache_info().misses - before)
+    assert computed == [CUTS_PER_PASS[workload]] * 2

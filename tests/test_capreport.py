@@ -2,6 +2,7 @@ import functools
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -9,12 +10,22 @@ from entcap import capreport
 from entcap.capreport import (
     ReportInvariantError,
     ReportOptions,
+    _orientations,
     bounds_report,
     report_to_obj,
 )
 from entcap.codingsearch import BudgetExceededError, SearchConfig, c1_exact
-from entcap.fixtures import fixture, path_network
-from entcap.netmodel import Edge, NetworkError, is_acyclic, min_cut, network, orient
+from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, path_network
+from entcap.netmodel import (
+    Edge,
+    NetworkError,
+    flow_orientation,
+    is_acyclic,
+    min_cut,
+    network,
+    orient,
+    random_network,
+)
 from entcap.tnrank import estimate_r1
 from entcap.transforms import SplitSpec
 
@@ -212,6 +223,66 @@ def test_no_acyclic_variant_is_refused():
         bounds_report(net)
     with pytest.raises(NetworkError, match="parallel edge"):
         bounds_report(net, ReportOptions(splits=(SplitSpec("ab", 1, 2),)))
+
+
+def _every_direction(net):
+    """The orientations as ``bounds`` once enumerated them: terminal edges
+    with the flow, every internal-internal undirected edge both ways, one
+    edge at a time."""
+    free, assignment = [], {}
+    for e in net.edges:
+        if not e.is_directed:
+            direction = flow_orientation(net, e)
+            if direction is None:
+                free.append(e.id)
+            else:
+                assignment[e.id] = direction
+    for dirs in itertools.product(("uv", "vu"), repeat=len(free)):
+        yield {**assignment, **dict(zip(free, dirs))}
+
+
+def _acyclic(net, assignments):
+    return [a for a in assignments if is_acyclic(orient(net, a))]
+
+
+def _with_parallel_edges(seed):
+    """A random network with up to four more edges between internal
+    vertices, each parallel or reversed to an internal edge it has, or
+    new; a third of them directed."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    net = random_network(rng)
+    internal = net.internal_vertices
+    edges = list(net.edges)
+    if len(internal) >= 2:
+        for i in range(int(rng.integers(0, 5))):
+            u, v = (str(x) for x in rng.choice(internal, size=2, replace=False))
+            inner = [e for e in edges if e.u in internal and e.v in internal]
+            if inner and rng.random() < 0.7:
+                e = inner[int(rng.integers(len(inner)))]
+                u, v = (e.u, e.v) if rng.random() < 0.5 else (e.v, e.u)
+            orientation = str(rng.choice(["undirected", "undirected", "uv", "vu"]))
+            edges.append(Edge(f"p{i}", u, v, int(rng.integers(1, 4)), orientation))
+    return replace(net, edges=tuple(edges))
+
+
+class TestOrientations:
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures_match_every_direction(self, name):
+        net = fixture(name)
+        assert _acyclic(net, _orientations(net)) == _acyclic(net, _every_direction(net))
+
+    def test_parallel_edges_match_every_direction(self):
+        for seed in range(500):
+            net = _with_parallel_edges(seed)
+            got = _acyclic(net, _orientations(net))
+            assert got == _acyclic(net, _every_direction(net)), seed
+
+    def test_parallel_middle_edges_point_one_way(self):
+        # 24 parallel middle edges: two orientations, not 2**24.
+        middle = [Edge(f"m{i}", "n1", "n2", 1) for i in range(24)]
+        base = diamond_network(2, 3, 3, 2, 1)
+        net = replace(base, edges=base.edges[:4] + tuple(middle))
+        assert len(list(itertools.islice(_orientations(net), 3))) == 2
 
 
 _BUDGET = 20_000

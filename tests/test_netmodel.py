@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from entcap.netmodel import (
     min_cut,
     network,
     orient,
+    random_network,
     scale,
     tensor_power,
 )
@@ -150,6 +152,34 @@ class TestMinCut:
             net.vertices, tuple(reversed(net.edges)), net.sources, net.sinks
         )
         assert min_cut(net).value == min_cut(shuffled).value
+
+
+class TestMinCutMemo:
+    """``min_cut`` keeps its last cut; ``__wrapped__`` is the unmemoized function."""
+
+    @staticmethod
+    def _networks():
+        rng = np.random.Generator(np.random.PCG64(0))  # the property suite's 200
+        return [fixture(name) for name in FIXTURE_NAMES] + [
+            random_network(rng) for _ in range(200)
+        ]
+
+    def test_memoized_cut_matches_unmemoized(self):
+        for net in self._networks():
+            min_cut.cache_clear()
+            assert min_cut(net) == min_cut.__wrapped__(net)
+            # Asked again, and for an equal network rebuilt from its JSON.
+            assert min_cut(net) == min_cut(load_network(dump_network(net)))
+            info = min_cut.cache_info()
+            assert (info.misses, info.hits) == (1, 2)
+
+    def test_refusal_is_not_kept(self):
+        min_cut.cache_clear()
+        chain = path_network(*[2] * 25)
+        for _ in range(2):
+            with pytest.raises(TooLargeError):
+                min_cut(chain)
+        assert min_cut.cache_info().misses == 2
 
 
 def oracle_min_cut(net: Network) -> Cut:

@@ -1,5 +1,6 @@
 """Surface guards over ``src/entcap``: every top-level name, public or
-private, is read somewhere other than its own definition, and every
+private, is read somewhere other than its own definition, every method
+and property of a class is read as an attribute somewhere, and every
 defaulted parameter of a public function or field of a public dataclass
 is set somewhere.
 
@@ -83,6 +84,53 @@ def test_every_public_name_is_read():
 
 def test_every_private_name_is_read():
     culprits = unread_names(private=True)
+    assert not culprits, "read nowhere outside their definitions: " + ", ".join(culprits)
+
+
+def _members(tree):
+    """(class, name, node) for each method and property of a top-level
+    class, dunder methods left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("__"):
+                    yield node.name, member.name, member
+
+
+def _attributes(tree, skip):
+    """Attribute names read in ``tree`` outside the node ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unread_members():
+    """The methods and properties, ``module.Class.name``, that no reader
+    reads as an attribute outside their own definition.
+
+    Dataclass fields are left out: the check goes by name alone, so it
+    cannot tell one class's field from another's of the same name
+    (``RoundedPair.c1`` from ``C1Result.c1``), and a field read under a
+    shared name would always pass.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
+    culprits = []
+    for path in MODULES:
+        for owner, name, node in _members(trees[path]):
+            if not any(name in _attributes(tree, node) for tree in trees.values()):
+                culprits.append(f"{path.stem}.{owner}.{name}")
+    return culprits
+
+
+def test_every_member_is_read():
+    culprits = unread_members()
     assert not culprits, "read nowhere outside their definitions: " + ", ".join(culprits)
 
 
