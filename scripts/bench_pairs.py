@@ -8,6 +8,10 @@ Usage, with each checkout made by ``git archive REV | tar -x -C DIR``:
         --trace-workloads diamond-bounds reproduce \\
         --note "what changed" --out BENCH_name.json
 
+or, for a change that claims no gain, without ``--claim`` and
+``--claim-seeds``: every workload then runs on ``--other-seeds``, and
+the file has ``workloads`` rows but no ``claim``.
+
 Every run is ``python3 perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` from the root of a checkout, with T the ``run_seconds`` of
 BENCHMARK.json, and its last stdout line is the source of each number.
@@ -201,8 +205,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
-    parser.add_argument("--claim", required=True, help="WORKLOAD:METRIC whose gain is claimed")
-    parser.add_argument("--claim-seeds", type=seed_range, required=True, help="e.g. 71-80: one pair per seed")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is claimed; omit to claim none")
+    parser.add_argument("--claim-seeds", type=seed_range, help="e.g. 71-80: one pair per seed")
     parser.add_argument("--other-seeds", type=seed_range, default=[], help="seeds for every other workload")
     parser.add_argument("--trace-workloads", nargs="*", default=[])
     parser.add_argument("--note", default="", help="what the two sides differ in")
@@ -214,8 +218,12 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    claim_workload, _, claim_metric = args.claim.partition(":")
-    if claim_workload not in workloads or claim_metric not in better:
+    if (args.claim is None) != (args.claim_seeds is None):
+        parser.error("--claim and --claim-seeds go together")
+    if args.claim is None and not args.other_seeds:
+        parser.error("without --claim, give --other-seeds")
+    claim_workload, _, claim_metric = (args.claim or "").partition(":")
+    if args.claim and (claim_workload not in workloads or claim_metric not in better):
         parser.error(f"unknown claim {args.claim!r}")
 
     if not same_harness(checkouts["parent"], checkouts["change"]):
@@ -224,16 +232,19 @@ def main(argv=None) -> int:
     note = (
         f"{args.note} Every run is {command} from the root of each checkout; its last stdout line "
         f"is the source of each number. perfbench/ and BENCHMARK.json are the same on both sides. "
-        f"Times are probe-normalized by "
-        f"run.py. The claim runs use seeds {seed_text(args.claim_seeds)}"
-        + (f", the other workloads seeds {seed_text(args.other_seeds)}." if args.other_seeds else ".")
+        f"Times are probe-normalized by run.py. "
+        + (f"No gain is claimed; every workload uses seeds {seed_text(args.other_seeds)}."
+           if args.claim is None else
+           f"The claim runs use seeds {seed_text(args.claim_seeds)}"
+           + (f", the other workloads seeds {seed_text(args.other_seeds)}." if args.other_seeds else "."))
         + " Written by scripts/bench_pairs.py."
     ).strip()
     out = {"note": note, "machine": machine()}
     failed = []
-    pairs, kept = paired_runs(checkouts, claim_workload, args.claim_seeds, seconds, failed)
-    if pairs:
-        out["claim"] = claim_rows(pairs, kept, claim_workload, claim_metric, better[claim_metric])
+    if args.claim:
+        pairs, kept = paired_runs(checkouts, claim_workload, args.claim_seeds, seconds, failed)
+        if pairs:
+            out["claim"] = claim_rows(pairs, kept, claim_workload, claim_metric, better[claim_metric])
     if args.other_seeds:
         out["workloads"] = {}
         for w in workloads:

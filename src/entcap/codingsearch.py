@@ -35,6 +35,8 @@ its last cut, so a scan computes it once.  On a network of more than
 ``ENUMERATION_LIMIT`` cut units, where :func:`~entcap.netmodel.min_cut`
 refuses, the bound falls back to the source and sink cuts: the product
 of the source out-edge alphabets and of the sink in-edge alphabets.
+The plain enumeration, with neither prune nor the pin, lives only in the
+tests, as the oracle that the prunes change no witness.
 """
 
 from __future__ import annotations
@@ -91,10 +93,10 @@ class ProtocolTable:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """``fix_source_bijection`` is read only by the unpruned test oracle,
-    ``_Searcher(..., prune=False)``: the pruned search pins a full-alphabet
-    encoder by itself.  Delete the field once ``perfbench/workloads.py``
-    stops passing it."""
+    """``fix_source_bijection`` is read only by the plain enumeration
+    that the tests keep as the oracle for the search: the search pins a
+    full-alphabet encoder by itself.  ``perfbench/workloads.py`` still
+    passes it; delete the field once it stops (ROADMAP item 1)."""
 
     alphabet_size: int
     budget: int = DEFAULT_BUDGET
@@ -291,38 +293,34 @@ class _Budget(Exception):
 
 
 class _Searcher:
-    """The lazy enumeration; ``prune=False`` turns both prunes and the
-    encoder pin off, which keeps the plain enumeration as the test oracle
-    for the pruned one.  The oracle pins the encoder only when
-    ``cfg.fix_source_bijection`` is set.
+    """The lazy enumeration with both prunes and the encoder pin.
 
-    The pruned search refuses l above ``max_l``: the directed min-cut,
-    or, on a network past the enumeration limit of
-    :func:`~entcap.netmodel.min_cut`, the smaller of the source-cut and
-    sink-cut products.  The oracle refuses only l above the source rows.
+    It refuses l above ``max_l``: the directed min-cut, or, on a network
+    past the enumeration limit of :func:`~entcap.netmodel.min_cut`, the
+    smaller of the source-cut and sink-cut products.  Encoder rows must
+    increase, and at l equal to the source rows the encoder is pinned
+    (``fixed``).  The tests subclass it into the plain enumeration, the
+    oracle for this one.
     """
 
-    def __init__(self, net: Network, cfg: SearchConfig, prune: bool = True):
+    def __init__(self, net: Network, cfg: SearchConfig):
         self.full = _compile(net)
         self.cfg = cfg
-        self.prune = prune
         self.l = cfg.alphabet_size
         if self.l < 1:
             raise ValueError("alphabet size must be >= 1")
 
         self.src_dims = [dim for _, dim in self.full.source]
         self.P = prod(self.src_dims)
-        self.max_l = self.P
-        if prune:
-            self.max_l = min(self.P, prod(dim for _, dim in self.full.sink))
-            # The cut-set bound.  The min-cut is no wider than the source
-            # or sink cut, so only an l that those admit needs it; past
-            # the enumeration limit those end cuts stay the bound.
-            if 1 < self.l <= self.max_l:
-                try:
-                    self.max_l = min_cut(net).value
-                except TooLargeError:
-                    pass
+        self.max_l = min(self.P, prod(dim for _, dim in self.full.sink))
+        # The cut-set bound.  The min-cut is no wider than the source or
+        # sink cut, so only an l that those admit needs it; past the
+        # enumeration limit those end cuts stay the bound.
+        if 1 < self.l <= self.max_l:
+            try:
+                self.max_l = min_cut(net).value
+            except TooLargeError:
+                pass
 
         # Only live steps compute: those a source feeds (a sink forwards
         # nothing), writing only the out-edges a sink or a live step reads
@@ -345,7 +343,7 @@ class _Searcher:
         self.plan = self.full._replace(steps=tuple(reversed(live)))
 
         # At l = P the message-order break leaves one encoder, the canonical one.
-        self.fixed = self.l == self.P and (prune or cfg.fix_source_bijection)
+        self.fixed = self.l == self.P
 
     def _source_rows(self, after=None):
         """Every source symbol row in row-major (flattened-index) order,
@@ -396,7 +394,7 @@ class _Searcher:
             self.witness = self._build_witness()
             return True
         if self.enc[m] is None:
-            after = self.enc[m - 1] if self.prune and m else None
+            after = self.enc[m - 1] if m else None
             budget = self.cfg.budget
             for row in self._source_rows(after):
                 self.assignments += 1

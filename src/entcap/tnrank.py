@@ -185,22 +185,22 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How :func:`contract` multiplies a network's tensors, fixed by shapes alone.
+    """The whole of :func:`contract` for one network, compiled from shapes alone.
 
     Factors are the internal vertices' tensors (``vertices``: each with
-    its shape, which :func:`contract` checks, and with the axis pairs of
-    its self-loops traced out) followed by one identity matrix per edge
-    between two terminals (``identities``).  An axis is labelled by its
-    edge id when the edge joins two internal vertices, and by its
-    boundary slot, ``("row", i)`` or ``("col", j)``, when it reaches a
-    terminal.  ``steps`` merge two live factors into a new one appended
-    at the end; the last factor's labels are permuted into ``slots`` order.
+    the shape :func:`contract` checks and the first position of each
+    self-loop's two adjacent axes, which it traces out) followed by one
+    identity matrix per edge between two terminals (``identities``).
+    Each step multiplies factors ``i`` and ``j``, transposed by ``left``
+    and ``right`` so that the ``k`` entries of their shared axes meet,
+    into a new factor of ``shape`` appended at the end.  ``order``
+    permutes the last factor's axes into row slots, then column slots.
     """
 
-    vertices: tuple  # (vertex id, shape, self-loop axis positions, labels after tracing)
-    identities: tuple  # (dim, (slot label, slot label))
-    steps: tuple  # (i, j) factor index pairs
-    slots: tuple  # row slot labels, then column slot labels
+    vertices: tuple  # (vertex id, shape, self-loop axis positions)
+    identities: tuple  # dims
+    steps: tuple  # (i, j, left, right, k, shape)
+    order: tuple
     rows: int
     cols: int
 
@@ -212,12 +212,17 @@ def _check_entries(what: str, n: int) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _plan_contraction(net: Network) -> _Plan:
-    """Greedy pairwise order, and the size guard for every array it makes.
+    """Greedy pairwise order, every step's axes, and the size guard for
+    every array the steps make.
 
-    Among live factors that share a label, the pair whose product has the
-    fewest entries merges first; factors sharing none merge last, by outer
-    products.  Raises :class:`TooLargeError` if an input tensor, an
-    intermediate or the boundary matrix would exceed ``MAX_ENTRIES``.
+    While planning, an axis is labelled by its edge id when the edge
+    joins two internal vertices, and by its boundary slot, ``("row", i)``
+    or ``("col", j)``, when it reaches a terminal.  Among live factors
+    that share a label, the pair whose product has the fewest entries
+    merges first; factors sharing none merge last, by outer products.
+    Each step keeps the first factor's free axes, then the second's.
+    Raises :class:`TooLargeError` if an input tensor, an intermediate or
+    the boundary matrix would exceed ``MAX_ENTRIES``.
 
     The plan is a pure function of the frozen network, and the last one
     is kept: back-to-back plans of an equal network, as
@@ -250,12 +255,12 @@ def _plan_contraction(net: Network) -> _Plan:
             for e in axes
             if not e.is_self_loop
         )
-        vertices.append((v, shape, loops, kept))
+        vertices.append((v, shape, loops))
         labels.append(kept)
     identities = []
     for e in net.edges:
         if len(slot_labels.get(e.id, ())) == 2:
-            identities.append((e.dim, tuple(slot_labels[e.id])))
+            identities.append(e.dim)
             labels.append(tuple(slot_labels[e.id]))
 
     steps = []
@@ -270,42 +275,38 @@ def _plan_contraction(net: Network) -> _Plan:
                 best = (key, merged)
         (_, size, i, j), merged = best
         _check_entries("an intermediate tensor", size)
-        steps.append((i, j))
-        del live[i], live[j]
+        la, lb = live.pop(i), live.pop(j)
+        shared = tuple(x for x in la if x in lb)
+        n = len(la) - len(shared)  # merged is la's free labels, then lb's
+        left = tuple(map(la.index, merged[:n] + shared))
+        right = tuple(map(lb.index, shared + merged[n:]))
+        k = prod(dims[x] for x in shared)
+        steps.append((i, j, left, right, k, tuple(dims[x] for x in merged)))
         live[len(labels)] = merged
         labels.append(merged)
+    slots = [("row", i) for i in range(len(row_slots))]
+    slots += [("col", j) for j in range(len(col_slots))]
     return _Plan(
         vertices=tuple(vertices),
         identities=tuple(identities),
         steps=tuple(steps),
-        slots=tuple(("row", i) for i in range(len(row_slots)))
-        + tuple(("col", j) for j in range(len(col_slots))),
+        order=tuple(map(labels[-1].index, slots)) if labels else (),
         rows=rows,
         cols=cols,
     )
 
 
-def _merge(a: np.ndarray, la: tuple, b: np.ndarray, lb: tuple, p: int):
-    """Contract two labelled tensors over their shared labels through :func:`matmul_mod`."""
-    shared = [x for x in la if x in lb]
-    free_a = [x for x in la if x not in shared]
-    free_b = [x for x in lb if x not in shared]
-    k = prod(a.shape[la.index(x)] for x in shared)
-    left = a.transpose([la.index(x) for x in free_a + shared]).reshape(-1, k)
-    right = b.transpose([lb.index(x) for x in shared + free_b]).reshape(k, -1)
-    shape = [a.shape[la.index(x)] for x in free_a] + [b.shape[lb.index(x)] for x in free_b]
-    return matmul_mod(left, right, p).reshape(shape), tuple(free_a + free_b)
-
-
 def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
     """Contract all internal edges, producing the source-to-sink matrix mod p.
 
-    Each tensor is reduced mod p and its self-loops traced; tensors then
-    merge pairwise along shared edges in a greedy order fixed by the
-    shapes (:func:`_plan_contraction`), every product going through
-    :func:`matmul_mod`.  Edges between two terminals are identity
-    wiring.  Tensor axes, rows and columns follow :func:`_wiring`: rows
-    index the source slots and columns the sink slots, row-major.
+    The contraction is compiled once from the shapes
+    (:func:`_plan_contraction`) and replayed here: each tensor is
+    reduced mod p and its self-loops traced, the identity wiring of each
+    edge between two terminals is appended, each step is one
+    :func:`matmul_mod` of two transposed and reshaped factors, and the
+    last factor is transposed once into slot order.  Tensor axes, rows
+    and columns follow :func:`_wiring`: rows index the source slots and
+    columns the sink slots, row-major.
 
     Raises:
         TooLargeError: a tensor, an intermediate or the boundary matrix
@@ -314,8 +315,8 @@ def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
     """
     plan = _plan_contraction(net)
     p = ta.field.p
-    factors, labels = [], []
-    for v, shape, loops, kept in plan.vertices:
+    factors = []
+    for v, shape, loops in plan.vertices:
         if v not in ta.tensors:
             raise NetworkError(f"assignment missing tensor for vertex {v!r}")
         if ta.tensors[v].shape != shape:
@@ -326,23 +327,16 @@ def contract(net: Network, ta: TensorAssignment) -> BoundaryMatrix:
         for i in reversed(loops):
             t = np.trace(t, axis1=i, axis2=i + 1) % p
         factors.append(t.astype(np.int64, copy=False))
-        labels.append(kept)
-    for dim, pair in plan.identities:
-        factors.append(np.eye(dim, dtype=np.int64))
-        labels.append(pair)
-    for i, j in plan.steps:
-        t, merged = _merge(factors[i], labels[i], factors[j], labels[j], p)
+    factors += [np.eye(dim, dtype=np.int64) for dim in plan.identities]
+    for i, j, left, right, k, shape in plan.steps:
+        a = factors[i].transpose(left).reshape(-1, k)
+        b = factors[j].transpose(right).reshape(k, -1)
         factors[i] = factors[j] = None
-        factors.append(t)
-        labels.append(merged)
-    if factors:
-        out, final = factors[-1], labels[-1]
-        out = out.transpose([final.index(x) for x in plan.slots])
-    else:
-        out = np.ones((), dtype=np.int64)
+        factors.append(matmul_mod(a, b, p).reshape(shape))
+    out = factors[-1] if factors else np.ones((), dtype=np.int64)
     return BoundaryMatrix(
         field=ta.field,
-        matrix=np.ascontiguousarray(out.reshape(plan.rows, plan.cols)),
+        matrix=np.ascontiguousarray(out.transpose(plan.order).reshape(plan.rows, plan.cols)),
     )
 
 

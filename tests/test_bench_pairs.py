@@ -79,6 +79,34 @@ def test_failed_run_exits_1_with_one_line(bench_pairs, tmp_path):
     ]
 
 
+def test_no_claim_runs_every_workload_on_the_other_seeds(bench_pairs, tmp_path):
+    bench = {"run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}],
+             "end_to_end": [{"name": "solve_s", "better": "lower"}]}
+    run_py = ("import json, sys\n"
+              "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+              "print(json.dumps({'failed': 0, 'metrics': {'solve_s': {'value': seed / 10}}}))\n")
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(bench))
+        (tmp_path / side / "perfbench" / "run.py").write_text(run_py)
+    sides = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")]
+    out = tmp_path / "BENCH_out.json"
+    assert bench_pairs.main([*sides, "--other-seeds", "3-4", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    assert "claim" not in written and "failed_runs" not in written
+    assert list(written["workloads"]) == ["w", "v"]
+    for rows in written["workloads"].values():
+        assert rows["seeds"] == [3, 4]
+        assert rows["solve_s"]["parent"]["runs"] == rows["solve_s"]["change"]["runs"] == [0.3, 0.4]
+    assert "No gain is claimed; every workload uses seeds 3-4." in written["note"]
+    # A claim needs its seeds, and a run with no claim needs other seeds.
+    for partial in (["--claim", "w:solve_s"], ["--claim-seeds", "1"], []):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([*sides, *partial, "--out", str(tmp_path / "partial.json")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "partial.json").exists()
+
+
 def test_one_failed_seed_keeps_the_other_pairs(bench_pairs, tmp_path):
     bench = {"run_seconds": 1, "workloads": [{"name": "w"}],
              "end_to_end": [{"name": "solve_s", "better": "lower"}]}

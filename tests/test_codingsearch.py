@@ -50,6 +50,20 @@ def oriented_path(*dims):
     return orient(net, {e.id: "uv" for e in net.edges})
 
 
+class _PlainSearcher(_Searcher):
+    """The plain enumeration, the oracle for the search: no cut-set bound
+    (only l above the source rows is refused), no message-order break,
+    and the encoder pinned only when ``cfg.fix_source_bijection`` is set."""
+
+    def __init__(self, net, cfg):
+        super().__init__(net, cfg)
+        self.max_l = self.P
+        self.fixed = self.l == self.P and cfg.fix_source_bijection
+
+    def _source_rows(self, after=None):
+        return super()._source_rows()
+
+
 def simulate(net, pt, message):
     """The sink tuple that ``message`` reaches under the protocol."""
     plan = _protocol_plan(net, pt)
@@ -188,10 +202,9 @@ class TestExhaustiveSearch:
         ],
     )
     def test_pinned_enumeration(self, name, l, fix, expected):
-        res = _Searcher(
+        res = _PlainSearcher(
             fixture(name),
             SearchConfig(alphabet_size=l, fix_source_bijection=fix),
-            prune=False,
         ).run()
         witness = protocol_to_obj(res.witness) if res.witness else None
         assert (res.status, res.assignments, witness) == expected
@@ -237,7 +250,7 @@ class TestExhaustiveSearch:
         for net, l in ((sink_cut, 3), (middle_cut, 2)):
             assert min_cut(net).value < l
             pruned = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
-            oracle = _Searcher(net, SearchConfig(alphabet_size=l), prune=False).run()
+            oracle = _PlainSearcher(net, SearchConfig(alphabet_size=l)).run()
             assert (pruned.status, pruned.assignments) == ("impossible", 0)
             assert oracle.status == "impossible" and oracle.assignments > 0
 
@@ -284,7 +297,7 @@ class TestExhaustiveSearch:
     def test_single_sink_edge_matches_oracle(self, l):
         net = oriented_path(2, 3)
         pruned = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
-        oracle = _Searcher(net, SearchConfig(alphabet_size=l), prune=False).run()
+        oracle = _PlainSearcher(net, SearchConfig(alphabet_size=l)).run()
         assert pruned.status == oracle.status == ("witness" if l <= 2 else "impossible")
         assert _witness_json(pruned) == _witness_json(oracle)
         if pruned.witness:
@@ -353,7 +366,7 @@ def test_pruned_search_matches_oracle(net):
     never costs assignments; it may finish a search the oracle cannot."""
     for l, fix in itertools.product(range(1, 7), (False, True)):
         cfg = SearchConfig(alphabet_size=l, budget=5_000, fix_source_bijection=fix)
-        oracle = _Searcher(net, cfg, prune=False).run()
+        oracle = _PlainSearcher(net, cfg).run()
         pruned = _Searcher(net, cfg).run()
         if oracle.status == "budget_exceeded":
             if pruned.status == "witness":

@@ -1,8 +1,8 @@
 """Surface guards over ``src/entcap``: every top-level name, public or
 private, is read somewhere other than its own definition, every method
 and property of a class is read as an attribute somewhere, and every
-defaulted parameter of a public function or field of a public dataclass
-is set somewhere.
+defaulted parameter of a function or of a class's ``__init__``, and every
+defaulted field of a dataclass, public or private, is set somewhere.
 
 A read is a name, an attribute or an import in another ``src/entcap``
 module, elsewhere in the defining module, or in a ``perfbench/`` or
@@ -142,29 +142,39 @@ def _is_dataclass(node):
     return False
 
 
+def _defaulted(func, skip=0):
+    """(parameter, position) for each defaulted parameter of ``func``,
+    the first ``skip`` positional ones not counted; a keyword-only
+    parameter has no position."""
+    args = func.args
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield arg.arg, i
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
 def _knobs(tree):
-    """(owner, parameter, position) for each defaulted parameter of a public
-    top-level function and each defaulted field of a public dataclass;
-    a keyword-only parameter has no position."""
+    """(owner, parameter, position) for each defaulted parameter of a
+    top-level function, public or private, and of each other class's
+    ``__init__``, keyed by the class with ``self`` not counted, and for
+    each defaulted field of a dataclass, public or private."""
     for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            args = node.args
-            positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first:], first):
-                yield node.name, arg.arg, i
-            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield node.name, arg.arg, None
-        elif (
-            isinstance(node, ast.ClassDef)
-            and not node.name.startswith("_")
-            and _is_dataclass(node)
-        ):
+        if isinstance(node, ast.FunctionDef):
+            for name, i in _defaulted(node):
+                yield node.name, name, i
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
             for i, f in enumerate(fields):
                 if f.value is not None:
                     yield node.name, f.target.id, i
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__":
+                    for name, i in _defaulted(member, skip=1):
+                        yield node.name, name, i
 
 
 def _calls(tree):
