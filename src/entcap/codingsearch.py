@@ -37,13 +37,19 @@ refuses, the bound falls back to the source and sink cuts: the product
 of the source out-edge alphabets and of the sink in-edge alphabets.
 The plain enumeration, with neither prune nor the pin, lives only in the
 tests, as the oracle that the prunes change no witness.
+
+The search recurses, so it refuses, with
+:class:`~entcap.netmodel.TooLargeError`, an l whose nesting bound would
+pass the recursion limit less ``STACK_HEADROOM``.  Encoder rows are
+unflattened from their row-major index as they are reached, so a wide
+source edge costs only the rows tried.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass, replace
-from itertools import islice, product
 from math import prod
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -58,6 +64,10 @@ from .netmodel import (
 from .tnrank import MAX_ENTRIES
 
 DEFAULT_BUDGET = 10**9
+
+#: Stack frames left to the search's callers: a search that would nest
+#: :meth:`_Searcher._extend` deeper than the recursion limit less this is refused.
+STACK_HEADROOM = 100
 
 
 class ProtocolError(NetworkError):
@@ -295,12 +305,16 @@ class _Budget(Exception):
 class _Searcher:
     """The lazy enumeration with both prunes and the encoder pin.
 
-    It refuses l above ``max_l``: the directed min-cut, or, on a network
-    past the enumeration limit of :func:`~entcap.netmodel.min_cut`, the
-    smaller of the source-cut and sink-cut products.  Encoder rows must
-    increase, and at l equal to the source rows the encoder is pinned
-    (``fixed``).  The tests subclass it into the plain enumeration, the
-    oracle for this one.
+    It answers ``impossible`` for l above ``max_l``: the directed
+    min-cut, or, on a network past the enumeration limit of
+    :func:`~entcap.netmodel.min_cut`, the smaller of the source-cut and
+    sink-cut products.  Encoder rows must increase, and at l equal to the
+    source rows the encoder is pinned (``fixed``).  It then raises
+    ``TooLargeError`` for a source row count or table past the array cap,
+    or for a search that could nest ``_extend`` l * (k + S) + 1 deep,
+    past the recursion limit less ``STACK_HEADROOM``: k is 1 when pinned
+    and 2 otherwise, S the live steps.  The tests subclass it into the
+    plain enumeration, the oracle for this one.
     """
 
     def __init__(self, net: Network, cfg: SearchConfig):
@@ -347,11 +361,16 @@ class _Searcher:
 
     def _source_rows(self, after=None):
         """Every source symbol row in row-major (flattened-index) order,
-        or only those after the row ``after``."""
-        rows = product(*(range(dim) for dim in self.src_dims))
-        if after is None:
-            return rows
-        return islice(rows, _flatten(after, self.src_dims) + 1, None)
+        or only those after the row ``after``, each unflattened from its
+        index when it is reached."""
+        start = 0 if after is None else _flatten(after, self.src_dims) + 1
+        dims = self.src_dims[::-1]
+        for idx in range(start, self.P):
+            row = []
+            for dim in dims:
+                idx, val = divmod(idx, dim)
+                row.append(val)
+            yield tuple(reversed(row))
 
     def run(self) -> SearchResult:
         if self.l > self.max_l:
@@ -368,6 +387,16 @@ class _Searcher:
             raise TooLargeError(
                 f"coding search would list {largest} source rows or table entries, "
                 f"above the limit {MAX_ENTRIES}"
+            )
+        # _extend recurses once per message, once more per message whose
+        # encoder row it chooses, and once per table entry it assigns: at
+        # most one entry per live step and message.  Checked before the
+        # encoder is listed, as a full alphabet can take 2^24 rows.
+        depth = self.l * ((1 if self.fixed else 2) + len(self.plan.steps)) + 1
+        limit = sys.getrecursionlimit() - STACK_HEADROOM
+        if depth > limit:
+            raise TooLargeError(
+                f"coding search would nest {depth} calls, above the limit {limit}"
             )
         self.assignments = 0
         self.enc = list(self._source_rows()) if self.fixed else [None] * self.l

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, build_parser, main
-from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text
+from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text, path_network
 from entcap.netmodel import Edge, dump_network, network, orient, tensor_power
 from entcap.reproduce import CLAIMS
 from entcap.transforms import SplitSpec, split_cycle_edge
@@ -57,11 +57,10 @@ def _two_way_relays() -> str:
     )
 
 
-def _huge_dims(*vertices) -> str:
-    """A directed path through ``vertices``, every edge of dim 10^19."""
-    hops = enumerate(zip(vertices, vertices[1:]))
-    edges = [Edge(f"e{i}", u, v, 10**19, "uv") for i, (u, v) in hops]
-    return dump_network(network(list(vertices), edges, [vertices[0]], [vertices[-1]]))
+def _directed_path(*dims) -> str:
+    """The path s -> n1 -> ... -> t with the given edge dims."""
+    net = path_network(*dims)
+    return dump_network(orient(net, {e.id: "uv" for e in net.edges}))
 
 
 def _dead_edge(dim) -> str:
@@ -80,9 +79,13 @@ _EXTRA_FILES = {
         split_cycle_edge(fixture("n_d5_4"), SplitSpec("d5", 2, 2))
     ),
     "two_way_relays": _two_way_relays(),
-    "st_dim_1e19": _huge_dims("s", "t"),
-    "snt_dim_1e19": _huge_dims("s", "n", "t"),
+    "st_dim_1e19": _directed_path(10**19),
+    "snt_dim_1e19": _directed_path(10**19, 10**19),
     "dead_edge_1e19": _dead_edge(10**19),
+    "st_dim_1000": dump_network(path_network(1000)),
+    "snt_dims_500_500": dump_network(path_network(500, 500)),
+    "st_uv_dim_1000": _directed_path(1000),
+    "path_150_dim_8": _directed_path(*[8] * 150),
 }
 
 
@@ -535,6 +538,12 @@ class TestBadArguments:
             # A witness would hold a 10^19-row table for the dead vertex b.
             ("c1", "dead_edge_1e19", "--l 2"),
             ("c1", "dead_edge_1e19", "--exact-up-to 3"),
+            # Searches that would nest deeper than the recursion limit less
+            # the callers' headroom: 1001, 1001, 1001 and 1201 calls.
+            ("bounds", "st_dim_1000", ""),
+            ("bounds", "snt_dims_500_500", ""),
+            ("c1", "st_uv_dim_1000", "--l 1000"),
+            ("c1", "path_150_dim_8", "--l 8"),
             # N past the float range.
             pytest.param("transform", "path_2_3", f"--op power:{10**400}", id="power-1e400"),
             pytest.param("transform", "path_2_3", f"--op round:-{10**400}", id="round-minus-1e400"),
@@ -572,6 +581,24 @@ class TestBadArguments:
             "import sys; from entcap.cli import main; sys.exit(main())",
             "c1", str(path), *args.split(),
         )
+        assert proc.returncode == EXIT_BAD_INPUT
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+    def test_widest_source_edge_under_memory_limit(self, tmp_path):
+        # s -> t of dim 2^24, the most source rows the array cap admits.
+        # Source rows are listed as the search reaches them, so three
+        # messages take three rows; the full alphabet is refused for its
+        # nesting depth before its encoder is listed.
+        path = tmp_path / "st_uv_dim_2p24.json"
+        path.write_text(_directed_path(2**24))
+        code = "import sys; from entcap.cli import main; sys.exit(main())"
+        proc = _run_under_memory_limit(code, "c1", str(path), "--l", "3")
+        assert proc.returncode == EXIT_OK, proc.stderr
+        result = json.loads(proc.stdout)
+        assert (result["status"], result["assignments"]) == ("witness", 3)
+        assert result["witness"]["source"] == [[0], [1], [2]]
+        proc = _run_under_memory_limit(code, "c1", str(path), "--l", str(2**24))
         assert proc.returncode == EXIT_BAD_INPUT
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

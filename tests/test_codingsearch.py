@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from dataclasses import replace
 from math import prod
 
@@ -265,6 +266,26 @@ class TestExhaustiveSearch:
         assert res.status == "witness" and is_valid(net, res.witness)
         above = exhaustive_achievable(net, SearchConfig(alphabet_size=3))
         assert (above.status, above.assignments) == ("impossible", 0)
+
+    # _extend nests at most l * (k + S) + 1 calls, k being 1 with the
+    # encoder pinned and 2 without, S the live steps.  A search that the
+    # recursion limit less the headroom admits runs; one message more is
+    # refused before anything is allocated.
+    @pytest.mark.parametrize("pinned, steps", [(True, 0), (True, 1), (False, 0), (False, 1)])
+    def test_nesting_bound(self, pinned, steps):
+        limit = sys.getrecursionlimit() - codingsearch.STACK_HEADROOM
+        per_message = (1 if pinned else 2) + steps
+        l = (limit - 1) // per_message
+
+        def path(l):
+            return oriented_path(*[l if pinned else 2 * l] * (steps + 1))
+
+        assert l * per_message + 1 <= limit < (l + 1) * per_message + 1
+        net = path(l)
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
+        assert res.status == "witness" and is_valid(net, res.witness)
+        with pytest.raises(TooLargeError, match=f"nest {(l + 1) * per_message + 1} calls"):
+            exhaustive_achievable(path(l + 1), SearchConfig(alphabet_size=l + 1))
 
     def test_no_symbol_toward_a_source(self):
         # A source reads nothing, so n's edge e into the source s2 carries 0.
