@@ -38,11 +38,11 @@ of the source out-edge alphabets and of the sink in-edge alphabets.
 The plain enumeration, with neither prune nor the pin, lives only in the
 tests, as the oracle that the prunes change no witness.
 
-The search recurses, so it refuses, with
-:class:`~entcap.netmodel.TooLargeError`, an l whose nesting bound would
-pass the recursion limit less ``STACK_HEADROOM``.  Encoder rows are
-unflattened from their row-major index as they are reached, so a wide
-source edge costs only the rows tried.
+The search recurses once per message and once per entry it assigns, so
+a search that reaches Python's recursion limit is refused with
+:class:`~entcap.netmodel.TooLargeError` instead of crashing.  Encoder
+rows, the pinned ones too, are unflattened from their row-major index as
+they are reached, so a wide source edge costs only the rows tried.
 """
 
 from __future__ import annotations
@@ -64,10 +64,6 @@ from .netmodel import (
 from .tnrank import MAX_ENTRIES
 
 DEFAULT_BUDGET = 10**9
-
-#: Stack frames left to the search's callers: a search that would nest
-#: :meth:`_Searcher._extend` deeper than the recursion limit less this is refused.
-STACK_HEADROOM = 100
 
 
 class ProtocolError(NetworkError):
@@ -143,6 +139,15 @@ def _flatten(values, dims) -> int:
     for val, dim in zip(values, dims):
         idx = idx * dim + val
     return idx
+
+
+def _unflatten(idx, dims) -> tuple:
+    """The row whose row-major index under ``dims`` is ``idx``."""
+    row = []
+    for dim in reversed(dims):
+        idx, val = divmod(idx, dim)
+        row.append(val)
+    return tuple(reversed(row))
 
 
 class _Step(NamedTuple):
@@ -309,12 +314,10 @@ class _Searcher:
     min-cut, or, on a network past the enumeration limit of
     :func:`~entcap.netmodel.min_cut`, the smaller of the source-cut and
     sink-cut products.  Encoder rows must increase, and at l equal to the
-    source rows the encoder is pinned (``fixed``).  It then raises
-    ``TooLargeError`` for a source row count or table past the array cap,
-    or for a search that could nest ``_extend`` l * (k + S) + 1 deep,
-    past the recursion limit less ``STACK_HEADROOM``: k is 1 when pinned
-    and 2 otherwise, S the live steps.  The tests subclass it into the
-    plain enumeration, the oracle for this one.
+    source rows the encoder is pinned (``fixed``): message m gets row m.
+    It raises ``TooLargeError`` for a source row count or table past the
+    array cap, and for a search that reaches the recursion limit.  The
+    tests subclass it into the plain enumeration, the oracle for this one.
     """
 
     def __init__(self, net: Network, cfg: SearchConfig):
@@ -364,13 +367,8 @@ class _Searcher:
         or only those after the row ``after``, each unflattened from its
         index when it is reached."""
         start = 0 if after is None else _flatten(after, self.src_dims) + 1
-        dims = self.src_dims[::-1]
         for idx in range(start, self.P):
-            row = []
-            for dim in dims:
-                idx, val = divmod(idx, dim)
-                row.append(val)
-            yield tuple(reversed(row))
+            yield _unflatten(idx, self.src_dims)
 
     def run(self) -> SearchResult:
         if self.l > self.max_l:
@@ -388,23 +386,11 @@ class _Searcher:
                 f"coding search would list {largest} source rows or table entries, "
                 f"above the limit {MAX_ENTRIES}"
             )
-        # _extend recurses once per message, once more per message whose
-        # encoder row it chooses, and once per table entry it assigns: at
-        # most one entry per live step and message.  Checked before the
-        # encoder is listed, as a full alphabet can take 2^24 rows.
-        depth = self.l * ((1 if self.fixed else 2) + len(self.plan.steps)) + 1
-        limit = sys.getrecursionlimit() - STACK_HEADROOM
-        if depth > limit:
-            raise TooLargeError(
-                f"coding search would nest {depth} calls, above the limit {limit}"
-            )
         self.assignments = 0
-        self.enc = list(self._source_rows()) if self.fixed else [None] * self.l
+        self.enc = [None] * self.l
         # One symbol list per message, written by its encoder row and its
         # forward pass; a pass resumes in place, so backtracking copies nothing.
-        self.sym = [
-            None if row is None else _source_symbols(self.plan, row) for row in self.enc
-        ]
+        self.sym = [None] * self.l
         self.tables = {step.vertex: [None] * self.widths[step.vertex] for step in self.plan.steps}
         self.seen = set()
         self.witness = None
@@ -412,6 +398,12 @@ class _Searcher:
             found = self._extend(0)
         except _Budget:
             return SearchResult("budget_exceeded", None, self.assignments)
+        except RecursionError:
+            # The unwound search state is dropped with the searcher.
+            raise TooLargeError(
+                f"coding search at l={self.l} nests past the recursion limit "
+                f"{sys.getrecursionlimit()}"
+            ) from None
         status = "witness" if found else "impossible"
         return SearchResult(status, self.witness, self.assignments)
 
@@ -423,18 +415,23 @@ class _Searcher:
             self.witness = self._build_witness()
             return True
         if self.enc[m] is None:
-            after = self.enc[m - 1] if m else None
-            budget = self.cfg.budget
-            for row in self._source_rows(after):
-                self.assignments += 1
-                if self.assignments > budget:
-                    raise _Budget
-                self.enc[m] = row
+            if self.fixed:
+                # The pinned row is set once and kept through backtracking.
+                self.enc[m] = row = _unflatten(m, self.src_dims)
                 self.sym[m] = _source_symbols(self.plan, row)
-                if self._extend(m):
-                    return True
-            self.enc[m] = None
-            return False
+            else:
+                after = self.enc[m - 1] if m else None
+                budget = self.cfg.budget
+                for row in self._source_rows(after):
+                    self.assignments += 1
+                    if self.assignments > budget:
+                        raise _Budget
+                    self.enc[m] = row
+                    self.sym[m] = _source_symbols(self.plan, row)
+                    if self._extend(m):
+                        return True
+                self.enc[m] = None
+                return False
         sinks, missing = _forward(self.plan, self.sym[m], self.tables, start)
         if missing is None:
             if sinks in self.seen:

@@ -19,6 +19,7 @@ from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_tex
 from entcap.netmodel import Edge, dump_network, network, orient, tensor_power
 from entcap.reproduce import CLAIMS
 from entcap.transforms import SplitSpec, split_cycle_edge
+from networks import oriented_path
 
 
 def _n_d5_4_two_sinks() -> str:
@@ -57,12 +58,6 @@ def _two_way_relays() -> str:
     )
 
 
-def _directed_path(*dims) -> str:
-    """The path s -> n1 -> ... -> t with the given edge dims."""
-    net = path_network(*dims)
-    return dump_network(orient(net, {e.id: "uv" for e in net.edges}))
-
-
 def _dead_edge(dim) -> str:
     """s -> t of dim 2 plus an edge a -> b of dim ``dim`` that no message
     reaches: the search ignores a and b, but a witness holds a table for
@@ -79,13 +74,14 @@ _EXTRA_FILES = {
         split_cycle_edge(fixture("n_d5_4"), SplitSpec("d5", 2, 2))
     ),
     "two_way_relays": _two_way_relays(),
-    "st_dim_1e19": _directed_path(10**19),
-    "snt_dim_1e19": _directed_path(10**19, 10**19),
+    "st_dim_1e19": dump_network(oriented_path(10**19)),
+    "snt_dim_1e19": dump_network(oriented_path(10**19, 10**19)),
     "dead_edge_1e19": _dead_edge(10**19),
     "st_dim_1000": dump_network(path_network(1000)),
     "snt_dims_500_500": dump_network(path_network(500, 500)),
-    "st_uv_dim_1000": _directed_path(1000),
-    "path_150_dim_8": _directed_path(*[8] * 150),
+    "snt_uv_dims_500_500": dump_network(oriented_path(500, 500)),
+    "st_uv_dim_1000": dump_network(oriented_path(1000)),
+    "path_150_dim_8": dump_network(oriented_path(*[8] * 150)),
 }
 
 
@@ -383,6 +379,20 @@ class TestC1:
         assert out == ""
         assert err == "error: budget exhausted at l=3 (best known 2)\n"
 
+    # s -> n1 -> t of dims (500, 500): at l = 500 a search could nest 1001
+    # calls, past the recursion limit, but the budget ends it near message
+    # 62, so it exits 3 as any exhausted search does.
+    @pytest.mark.parametrize(
+        "args, err",
+        [
+            ("--l 500", "error: search budget exceeded\n"),
+            ("--exact-up-to 500", "error: budget exhausted at l=62 (best known 61)\n"),
+        ],
+    )
+    def test_budget_ends_a_deep_search(self, capsys, fixture_file, args, err):
+        argv = ["c1", fixture_file("snt_uv_dims_500_500"), *args.split(), "--budget", "2000"]
+        assert run(capsys, argv) == (EXIT_BUDGET, "", err)
+
     def test_table_space_past_float_range(self, capsys, tmp_path):
         # Raw table space 200^3 * 200^(200*200), far above 1e308.
         path = tmp_path / "path_200_200.json"
@@ -480,6 +490,17 @@ class TestBounds:
         assert [(r["directed_mc"], r["c1"]) for r in obj["c1"]] == [(4, 4)]
         assert obj["q1"] == {"lower": 4, "upper": 6}
 
+    def test_budget_ends_a_deep_search(self, capsys, fixture_file):
+        # s - n1 - t of dims (500, 500): the budget ends the l = 500 search
+        # and the scan near message 62, before the recursion limit.
+        argv = ["bounds", fixture_file("snt_dims_500_500"), "--budget", "2000"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (EXIT_OK, "")
+        obj = json.loads(out)
+        variant = {"variant": "orient[e0=uv,e1=uv]", "directed_mc": 500}
+        assert obj["c1"] == [{**variant, "c1": 61, "status": "budget_exceeded"}]
+        assert obj["q1"] == {"lower": 61, "upper": 500}
+
 
 class TestBadArguments:
     @pytest.mark.parametrize(
@@ -538,8 +559,9 @@ class TestBadArguments:
             # A witness would hold a 10^19-row table for the dead vertex b.
             ("c1", "dead_edge_1e19", "--l 2"),
             ("c1", "dead_edge_1e19", "--exact-up-to 3"),
-            # Searches that would nest deeper than the recursion limit less
-            # the callers' headroom: 1001, 1001, 1001 and 1201 calls.
+            # Searches that recurse past the recursion limit of 1000: the
+            # pinned encoder takes l = dim (1000, 500, 1000 and 8) messages,
+            # each nesting once more per relaying vertex.
             ("bounds", "st_dim_1000", ""),
             ("bounds", "snt_dims_500_500", ""),
             ("c1", "st_uv_dim_1000", "--l 1000"),
@@ -587,11 +609,11 @@ class TestBadArguments:
 
     def test_widest_source_edge_under_memory_limit(self, tmp_path):
         # s -> t of dim 2^24, the most source rows the array cap admits.
-        # Source rows are listed as the search reaches them, so three
-        # messages take three rows; the full alphabet is refused for its
-        # nesting depth before its encoder is listed.
+        # Source rows are unflattened as the search reaches them, so three
+        # messages take three rows, and the full alphabet's pinned encoder
+        # is never listed whole: its search reaches the recursion limit.
         path = tmp_path / "st_uv_dim_2p24.json"
-        path.write_text(_directed_path(2**24))
+        path.write_text(dump_network(oriented_path(2**24)))
         code = "import sys; from entcap.cli import main; sys.exit(main())"
         proc = _run_under_memory_limit(code, "c1", str(path), "--l", "3")
         assert proc.returncode == EXIT_OK, proc.stderr

@@ -44,11 +44,7 @@ from entcap.netmodel import (
     topological_order,
 )
 from entcap.transforms import SplitSpec, split_cycle_edge
-
-
-def oriented_path(*dims):
-    net = path_network(*dims)
-    return orient(net, {e.id: "uv" for e in net.edges})
+from networks import oriented_path
 
 
 class _PlainSearcher(_Searcher):
@@ -267,25 +263,21 @@ class TestExhaustiveSearch:
         above = exhaustive_achievable(net, SearchConfig(alphabet_size=3))
         assert (above.status, above.assignments) == ("impossible", 0)
 
-    # _extend nests at most l * (k + S) + 1 calls, k being 1 with the
-    # encoder pinned and 2 without, S the live steps.  A search that the
-    # recursion limit less the headroom admits runs; one message more is
-    # refused before anything is allocated.
+    # _extend recurses at least once per message, so l messages at the
+    # recursion limit cannot fit on the stack: the search is refused, not
+    # crashed, and a later search runs as before.  Pinned and not, with
+    # no relaying vertex and with one.
     @pytest.mark.parametrize("pinned, steps", [(True, 0), (True, 1), (False, 0), (False, 1)])
-    def test_nesting_bound(self, pinned, steps):
-        limit = sys.getrecursionlimit() - codingsearch.STACK_HEADROOM
-        per_message = (1 if pinned else 2) + steps
-        l = (limit - 1) // per_message
-
+    def test_too_deep_for_the_stack(self, pinned, steps):
         def path(l):
             return oriented_path(*[l if pinned else 2 * l] * (steps + 1))
 
-        assert l * per_message + 1 <= limit < (l + 1) * per_message + 1
-        net = path(l)
-        res = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
+        deep = sys.getrecursionlimit()
+        with pytest.raises(TooLargeError, match=f"at l={deep} nests past the recursion limit"):
+            exhaustive_achievable(path(deep), SearchConfig(alphabet_size=deep))
+        net = path(100)
+        res = exhaustive_achievable(net, SearchConfig(alphabet_size=100))
         assert res.status == "witness" and is_valid(net, res.witness)
-        with pytest.raises(TooLargeError, match=f"nest {(l + 1) * per_message + 1} calls"):
-            exhaustive_achievable(path(l + 1), SearchConfig(alphabet_size=l + 1))
 
     def test_no_symbol_toward_a_source(self):
         # A source reads nothing, so n's edge e into the source s2 carries 0.
