@@ -13,7 +13,14 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .codingsearch import BudgetExceededError, DEFAULT_BUDGET, SearchConfig, c1_exact
+from .codingsearch import (
+    BudgetExceededError,
+    DEFAULT_BUDGET,
+    SearchConfig,
+    c1_exact,
+    diamond_c1,
+    is_valid,
+)
 from .netmodel import Network, NetworkError, flow_orientation, is_acyclic, min_cut, orient
 from .tnrank import diamond_r1, estimate_r1
 from .transforms import SplitSpec, split_cycle_edge
@@ -107,14 +114,18 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     repeater interval, asserting every proven ordering before returning.
 
     ``mc`` is the min-cut with orientations dropped (the rank's bound).
-    Each variant's coding scan stops at its directed min-cut, which
-    bounds c1 by the cut-set bound, so a c1 reaching it needs no
-    impossibility search.  The Q1 upper end is the exact R1 of a diamond
-    with d5 <= 2, and ``mc`` elsewhere.
+    A directed diamond's c1 is counted by
+    :func:`~entcap.codingsearch.diamond_c1`, and its witness re-checked
+    with ``is_valid``.  Every other variant's coding scan stops at its
+    directed min-cut, which bounds c1 by the cut-set bound, so a c1
+    reaching it needs no impossibility search.  The Q1 upper end is the
+    exact R1 of a diamond with d5 <= 2, and ``mc`` elsewhere.
 
     Raises:
         NetworkError: no orientation is acyclic and no split was given, so
             there is no variant to search.
+        ReportInvariantError: an ordering fails, or ``is_valid`` rejects a
+            counted diamond witness.
     """
     est = estimate_r1(net, trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
@@ -138,14 +149,20 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     notes = []
     for name, variant in variants:
         directed_mc = min_cut(variant).value
-        cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
-        try:
-            c1 = c1_exact(variant, directed_mc, cfg)
-            status = "exact"
-        except BudgetExceededError as exc:
-            c1 = exc.best_known
-            status = "budget_exceeded"
-            notes.append(f"{name}: coding search hit the budget; c1 is a lower bound")
+        counted = diamond_c1(variant)
+        status = "exact"
+        if counted is not None:
+            c1, witness = counted
+            if not is_valid(variant, witness):
+                raise ReportInvariantError(f"{name}: the counted diamond witness is not valid")
+        else:
+            cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
+            try:
+                c1 = c1_exact(variant, directed_mc, cfg)
+            except BudgetExceededError as exc:
+                c1 = exc.best_known
+                status = "budget_exceeded"
+                notes.append(f"{name}: coding search hit the budget; c1 is a lower bound")
         c1_results.append(C1Result(name=name, directed_mc=directed_mc, c1=c1, status=status))
         q1_lower = max(q1_lower, c1)
 

@@ -43,6 +43,12 @@ a search that reaches Python's recursion limit is refused with
 :class:`~entcap.netmodel.TooLargeError` instead of crashing.  Encoder
 rows, the pinned ones too, are unflattened from their row-major index as
 they are reached, so a wide source edge costs only the rows tried.
+
+On a directed diamond c1 has a closed form, and :func:`diamond_c1`
+counts it and builds a protocol that reaches it, with no search.  The
+callers that want only the number (``bounds`` and the reproduction
+claims) use it; :func:`exhaustive_achievable` and :func:`c1_exact` stay
+the plain search, and the tests hold the count to it.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .netmodel import (
     Network,
     NetworkError,
     TooLargeError,
+    diamond_edges,
     min_cut,
     topological_order,
 )
@@ -527,6 +534,85 @@ def c1_exact(net: Network, l_max: int, cfg: SearchConfig | None = None) -> int:
         return best
     message = f"budget exhausted at l={l_max} (best known {best})"
     raise BudgetExceededError(message, best_known=best)
+
+
+# ---------------------------------------------------------------------------
+# The count on directed diamonds
+# ---------------------------------------------------------------------------
+
+
+def diamond_c1(net: Network) -> tuple[int, ProtocolTable] | None:
+    """The exact c1 of a directed diamond and a protocol reaching it, else None.
+
+    A directed diamond is a diamond (:func:`~entcap.netmodel.diamond_edges`)
+    whose edges all point with the flow, s->a, s->b, a->t and b->t, and
+    whose middle edge is directed.  Call its tail n1 and its head n2, and
+    let d1 = s-n1, d2 = s-n2, d3 = n1-t, d4 = n2-t and d5 = n1-n2.  Then
+
+        c1 = max of sum_x min(d4, d2 * k_x) over (k_x), x < d3,
+             with 0 <= k_x <= d5 and sum_x k_x <= d1.
+
+    Upper bound.  A message is a pair (a, b) of source symbols, a < d1 on
+    s->n1 and b < d2 on s->n2.  n1 writes (x, y) = f(a), x < d3 to the
+    sink and y < d5 to n2; n2 writes z = g(b, y) < d4, and the sink sees
+    (x, z).  Sort the messages into classes by (x, y), and the classes
+    into groups by x; k_x is the number of classes of group x.  Two
+    messages of one class that share b collide, so a class holds at most
+    d2 messages.  The messages of one group are told apart by z alone, so
+    a group holds at most d4.  Hence group x holds at most min(d4, d2 *
+    k_x).  And k_x <= d5, while distinct classes come from distinct a, so
+    sum_x k_x <= d1.
+
+    The maximum.  Group x's value min(d4, d2 * k) rises by d2 for each of
+    its first q = floor(d4 / d2) classes, then by r = d4 mod d2 once, then
+    by 0, and k stops at d5.  These rises never grow, so the best choice
+    of at most d1 classes takes the largest rises: ``whole`` = min(d1, d3
+    * min(d5, q)) classes of d2 messages, then, where d5 > q, up to d3
+    remainder classes of r messages, one per group.
+
+    The witness reaches it.  Class y of group x gets an s->n1 symbol a of
+    its own, f(a) = (x, y), and its messages are (a, b) for each b < min(d2,
+    d4 - y * d2).  n2 writes g(b, y) = (b + y * d2) mod d4, which for
+    these messages is y * d2 + b < d4, distinct within a group.  Symbols
+    no message uses map to 0.
+    """
+    edges = diamond_edges(net)
+    if edges is None or not all(e.is_directed for e in edges):
+        return None
+    sa, at, sb, bt, ab = edges
+    (s,), (t,) = net.sources, net.sinks
+    if sa.tail != s or sb.tail != s or at.head != t or bt.head != t:
+        return None
+    if ab.tail == sa.head:
+        s1, n1t, s2, n2t = sa, at, sb, bt
+    else:
+        s1, n1t, s2, n2t = sb, bt, sa, at
+    d1, d2, d3, d4, d5 = s1.dim, s2.dim, n1t.dim, n2t.dim, ab.dim
+
+    per_group = min(d5, d4 // d2)
+    whole = min(d1, d3 * per_group)
+    rest = d4 - per_group * d2 if d5 > per_group else 0
+    remainder = min(d1 - whole, d3) if rest else 0
+    c1 = whole * d2 + remainder * rest
+
+    # (x, y, messages) of each class, indexed by its s->n1 symbol a.
+    classes = [(a // per_group, a % per_group, d2) for a in range(whole)]
+    classes += [(x, per_group, rest) for x in range(remainder)]
+    # Rows and values are row-major over the edges in edge-id order (ProtocolTable).
+    a_first, x_first, b_first = s1.id < s2.id, n1t.id < ab.id, s2.id < ab.id
+    encoder = tuple(
+        (a, b) if a_first else (b, a) for a, (_, _, size) in enumerate(classes) for b in range(size)
+    )
+    n1_table = [0] * d1
+    for a, (x, y, _) in enumerate(classes):
+        n1_table[a] = x * d5 + y if x_first else y * d3 + x
+    if b_first:
+        reads = [(b, y) for b in range(d2) for y in range(d5)]
+    else:
+        reads = [(b, y) for y in range(d5) for b in range(d2)]
+    n2_table = tuple((b + y * d2) % d4 for b, y in reads)
+    tables = {s1.head: tuple(n1_table), s2.head: n2_table}
+    return c1, ProtocolTable(source_encoder=encoder, node_functions=tables)
 
 
 # ---------------------------------------------------------------------------

@@ -418,6 +418,23 @@ def flow_orientation(net: Network, e: Edge) -> str | None:
     return None
 
 
+def diamond_edges(net: Network) -> tuple[Edge, ...] | None:
+    """The edges s-a, a-t, s-b, b-t and a-b of a diamond, in that order, else None.
+
+    A diamond has one source s, one sink t, two relays a and b (in
+    declaration order), no stage pairs, and exactly five edges, one
+    joining each of those five pairs.  Orientations are not read.
+    """
+    if net.stage_pairs or len(net.sources) != 1 or len(net.sinks) != 1 or len(net.vertices) != 4:
+        return None
+    (s,), (t,), (a, b) = net.sources, net.sinks, net.internal_vertices
+    by_pair = {frozenset((e.u, e.v)): e for e in net.edges}
+    pairs = [frozenset(p) for p in ((s, a), (a, t), (s, b), (b, t), (a, b))]
+    if len(net.edges) != 5 or by_pair.keys() != set(pairs):
+        return None
+    return tuple(by_pair[p] for p in pairs)
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange format
 # ---------------------------------------------------------------------------

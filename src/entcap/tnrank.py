@@ -23,6 +23,7 @@ from .netmodel import (
     Network,
     NetworkError,
     TooLargeError,
+    diamond_edges,
     drop_orientations,
     merge_stage_pairs,
     min_cut,
@@ -385,9 +386,10 @@ def _pencil_blocks(m: int, n: int) -> list:
 def diamond_r1(net: Network) -> int | None:
     """The exact R1 of a diamond whose middle edge has dim at most 2, else None.
 
-    A diamond has one source s, one sink t, relays a and b, and exactly
-    the five non-loop edges s-a, s-b, a-t, b-t and a-b, read as
-    :func:`estimate_r1` ranks it.  Relay a holds matrices A_k (dim s-a x
+    The diamond's shape is read by :func:`~entcap.netmodel.diamond_edges`
+    once stage pairs are merged, as :func:`estimate_r1` ranks it: one
+    source s, one sink t, relays a and b, and exactly the five edges s-a,
+    s-b, a-t, b-t and a-b.  Relay a holds matrices A_k (dim s-a x
     dim a-t), b holds B_k, k < d5, and M = sum_k A_k (x) B_k.  For d5 = 1,
     rank M = rank A_1 * rank B_1.  For d5 = 2, A_k -> P A_k R and B_k ->
     Q B_k S (P, Q, R, S invertible) change M by invertible Kronecker
@@ -408,15 +410,10 @@ def diamond_r1(net: Network) -> int | None:
     in integers: a rank mod p of a canonical matrix may fall below its
     rank over Q.
     """
-    net = merge_stage_pairs(net)
-    if len(net.sources) != 1 or len(net.sinks) != 1 or len(net.vertices) != 4:
+    edges = diamond_edges(merge_stage_pairs(net))
+    if edges is None:
         return None
-    (s,), (t,), (a, b) = net.sources, net.sinks, net.internal_vertices
-    dims = {frozenset((e.u, e.v)): e.dim for e in net.edges}
-    pairs = [frozenset(p) for p in ((s, a), (a, t), (s, b), (b, t), (a, b))]
-    if len(net.edges) != 5 or dims.keys() != set(pairs):
-        return None
-    d1, d3, d2, d4, d5 = (dims[p] for p in pairs)
+    d1, d3, d2, d4, d5 = (e.dim for e in edges)
     if d5 == 1:
         return min(d1, d3) * min(d2, d4)
     if d5 != 2:

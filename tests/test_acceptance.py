@@ -16,7 +16,7 @@ CRITERIA = [
     ("2 rank gap on the counterexample (R1=14 < MC=15)", "r1-gap", 1.0),
     ("3 rank saturation on the family (R1=6, d5 in 2..4)", "r1-saturation", 3.0),
     ("4 coding achievability (l=6 split, l=5 up-oriented)", "coding-achievability", 10.0),
-    ("5 coding impossibility (l=6 exhausted everywhere)", "coding-impossibility", 300.0),
+    ("5 coding impossibility (l=6: 2 diamonds counted, 17 searched)", "coding-impossibility", 300.0),
     ("6 scaled-family conjecture (R1=MC: 24, 54)", "conjecture-scaled", 30.0),
     ("7 power-of-two sandwich (n=1,2)", "sandwich", 60.0),
     ("8 property suite (200 random networks)", "property-suite", 120.0),

@@ -43,8 +43,9 @@ def test_calls_answer_and_trace(workload):
 
 
 #: Min-cuts each workload's pass computes, not counting those ``min_cut``
-#: returns from its kept last cut.
-CUTS_PER_PASS = {"diamond-bounds": 5, "rank-powers": 5, "repeater-mincut": 4, "reproduce": 524}
+#: returns from its kept last cut.  The two N4 orientations that are
+#: directed diamonds are counted, not searched, so no cut-set bound is cut.
+CUTS_PER_PASS = {"diamond-bounds": 5, "rank-powers": 5, "repeater-mincut": 4, "reproduce": 522}
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.BUILDERS))

@@ -30,15 +30,11 @@ from entcap.tnrank import estimate_r1
 from entcap.transforms import SplitSpec
 
 
-# The counterexample's coding scans are deliberately budget-limited:
-# its alphabet runs to 15 and exhausting that space is out of desk scale.
-# Both fig2 tests read the one report.
+# Both fig2 tests read the one report, at the default budget: both of
+# its orientations are directed diamonds, whose c1 is counted.
 @functools.cache
 def _fig2_report():
-    return bounds_report(
-        fixture("fig2_counterexample"),
-        ReportOptions(rank_trials=5, coding_budget=20_000),
-    )
+    return bounds_report(fixture("fig2_counterexample"), ReportOptions(rank_trials=5))
 
 
 class TestBoundsReport:
@@ -71,7 +67,7 @@ class TestBoundsReport:
         report = _fig2_report()
         assert report.mc == 15
         assert report.r1_lower == 14
-        assert report.q1_lower >= 1
+        assert (report.q1_lower, report.q1_upper) == (13, 14)
 
     def test_fig2_upper_is_exact_r1(self):
         report = _fig2_report()
@@ -114,6 +110,33 @@ class TestBoundsReport:
         report = bounds_report(fixture("n_d5_2"), ReportOptions(coding_budget=200_000))
         assert [r.status for r in report.c1_results] == ["exact", "exact"]
         assert not any("budget" in note for note in report.notes)
+
+    @pytest.mark.parametrize(
+        "name, c1_rows, q1",
+        [
+            ("fig2_counterexample", [(15, 13), (9, 9)], (13, 14)),
+            ("fig1_scaled_k2", [(16, 16), (24, 20)], (20, 24)),
+            ("fig1_scaled_k3", [(36, 36), (54, 45)], (45, 54)),
+        ],
+    )
+    def test_diamond_rows_counted_at_default_settings(self, name, c1_rows, q1):
+        # Directed MC and c1 of d5=uv, then d5=vu; the search alone does not
+        # finish these at the default budget.
+        report = bounds_report(fixture(name))
+        assert [(r.directed_mc, r.c1) for r in report.c1_results] == c1_rows
+        assert all(r.status == "exact" for r in report.c1_results)
+        assert (report.q1_lower, report.q1_upper) == q1
+        assert report.notes == ("regularized repeater and rank capacities equal the min-cut",)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_fixture_row_exact_at_default_settings(self, name):
+        report = bounds_report(fixture(name))
+        assert all(r.status == "exact" for r in report.c1_results)
+
+    def test_counted_witness_rechecked(self, monkeypatch):
+        monkeypatch.setattr(capreport, "is_valid", lambda net, pt: False)
+        with pytest.raises(ReportInvariantError, match="counted diamond witness"):
+            bounds_report(fixture("n_d5_2"))
 
     def test_regularized_c_is_best_directed_mc(self):
         report = bounds_report(fixture("n_d5_2"))

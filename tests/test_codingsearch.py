@@ -21,6 +21,7 @@ from entcap.codingsearch import (
     _source_symbols,
     _tuple_reader,
     c1_exact,
+    diamond_c1,
     exhaustive_achievable,
     is_valid,
     paper_protocol_n2,
@@ -29,6 +30,7 @@ from entcap.codingsearch import (
     source_out_edges,
 )
 from entcap.fixtures import diamond_network, fixture, path_network
+from entcap.reproduce import _status
 from entcap.netmodel import (
     ENUMERATION_LIMIT,
     CyclicNetworkError,
@@ -632,3 +634,107 @@ def test_c1_exact_matches_ascending_scan(net):
             continue
         assert got == oracle, (l_max, budget)
 
+
+
+# ---------------------------------------------------------------------------
+# The count on directed diamonds, against the search
+# ---------------------------------------------------------------------------
+
+_FLOW = {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv"}
+
+
+def _directed_diamond(dims, middle):
+    return orient(diamond_network(*dims), {**_FLOW, "d5": middle})
+
+
+def _counted_value(d1, d2, d3, d4, d5):
+    """The formula as stated: the best sum of min(d4, d2 * k_x) over every
+    (k_x), x < d3, with k_x <= d5 and sum k_x <= d1, one group at a time."""
+    best = {0: 0}  # classes used -> best value
+    for _ in range(d3):
+        step = {}
+        for used, value in best.items():
+            for k in range(min(d5, d1 - used) + 1):
+                step[used + k] = max(step.get(used + k, 0), value + min(d4, d2 * k))
+        best = step
+    return max(best.values())
+
+
+def _middle_undirected(net):
+    *flow, middle = net.edges
+    return replace(net, edges=(*flow, replace(middle, orientation="undirected")))
+
+
+class TestDiamondCount:
+    def test_matches_the_search(self):
+        # Every oriented diamond with dims 1..3: 486 networks.
+        for dims in itertools.product(range(1, 4), repeat=5):
+            for middle in ("uv", "vu"):
+                net = _directed_diamond(dims, middle)
+                c1, witness = diamond_c1(net)
+                assert c1 == c1_exact(net, min_cut(net).value), (dims, middle)
+                assert witness.alphabet_size == c1 and is_valid(net, witness)
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            fixture("n4_split_2x2"),
+            fixture("n2_up"),
+            split_cycle_edge(fixture("n_d5_4"), SplitSpec("d5", 2, 2)),
+            _middle_undirected(_directed_diamond((2, 3, 3, 2, 2), "uv")),
+            fixture("n_d5_2"),
+            network(
+                ["s", "n1", "n2", "t"],
+                [*_directed_diamond((2, 3, 3, 2, 2), "uv").edges, Edge("st", "s", "t", 2, "uv")],
+                ["s"],
+                ["t"],
+            ),
+            orient(diamond_network(2, 3, 3, 2, 2), {**_FLOW, "d1": "vu", "d5": "uv"}),
+            orient(diamond_network(2, 3, 3, 2, 2), {**_FLOW, "d4": "vu", "d5": "vu"}),
+        ],
+        ids=["n4_split", "n2_up", "split_d5", "middle_undirected", "undirected", "plus_st",
+             "source_edge_reversed", "sink_edge_reversed"],
+    )
+    def test_none_off_the_shape(self, net):
+        assert diamond_c1(net) is None
+
+    @pytest.mark.parametrize("l", [5, 6])
+    def test_claim_status_matches_the_search(self, l):
+        # The claims' N4 orientations, two of them directed diamonds, and n2_up.
+        n4 = diamond_network(2, 3, 3, 2, 4)
+        eids = [e.id for e in n4.edges]
+        nets = [fixture("n2_up")]
+        for dirs in itertools.product(("uv", "vu"), repeat=len(eids)):
+            oriented = orient(n4, dict(zip(eids, dirs)))
+            if is_acyclic(oriented):
+                nets.append(oriented)
+        assert len(nets) == 19
+        assert sum(diamond_c1(net) is not None for net in nets) == 2
+        for net in nets:
+            assert _status(net, l) == exhaustive_achievable(net, SearchConfig(l)).status
+
+
+@st.composite
+def _relabelled_diamonds(draw):
+    """A directed diamond with dims 1..8, its relays declared in either
+    order and its edge ids shuffled, so every edge-id order of the tables
+    comes up."""
+    dims = draw(st.tuples(*[st.integers(1, 8)] * 5))
+    ids = draw(st.permutations(["e0", "e1", "e2", "e3", "e4"]))
+    relays = draw(st.permutations(["n1", "n2"]))
+    net = _directed_diamond(dims, draw(st.sampled_from(["uv", "vu"])))
+    edges = [replace(e, id=new) for e, new in zip(net.edges, ids)]
+    return network(["s", *relays, "t"], edges, ["s"], ["t"]), dims
+
+
+@given(_relabelled_diamonds())
+@settings(max_examples=200, deadline=None)
+def test_diamond_witness_reaches_the_count(drawn):
+    net, (d1, d2, d3, d4, d5) = drawn
+    c1, witness = diamond_c1(net)
+    if net.edges[4].orientation == "vu":  # n2 -> n1: the roles swap
+        d1, d2, d3, d4 = d2, d1, d4, d3
+    assert c1 == _counted_value(d1, d2, d3, d4, d5)
+    assert witness.alphabet_size == c1
+    assert is_valid(net, witness)
+    assert c1 <= min_cut(net).value

@@ -16,6 +16,7 @@ from entcap.netmodel import (
     NetworkError,
     TooLargeError,
     cut_value,
+    diamond_edges,
     dump_network,
     is_acyclic,
     load_network,
@@ -408,6 +409,60 @@ class TestMergeStagePairs:
     def test_unstaged_network_unchanged(self):
         net = fixture("n_d5_2")
         assert merge_stage_pairs(net) == net
+
+
+class TestDiamondEdges:
+    def test_edges_in_role_order(self):
+        net = fixture("fig2_counterexample")
+        assert [e.id for e in diamond_edges(net)] == ["d1", "d3", "d2", "d4", "d5"]
+
+    def test_relays_in_declaration_order(self):
+        net = fixture("fig2_counterexample")
+        swapped = replace(net, vertices=("s", "n2", "n1", "t"))
+        assert [e.id for e in diamond_edges(swapped)] == ["d2", "d4", "d1", "d3", "d5"]
+
+    def test_orientations_not_read(self):
+        net = fixture("n_d5_2")
+        flipped = orient(net, {e.id: "vu" for e in net.edges})
+        assert [e.id for e in diamond_edges(flipped)] == [e.id for e in diamond_edges(net)]
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            fixture("path_3_3"),
+            fixture("n2_up"),
+            # The staged diamond itself: one stage pair, four vertices.
+            network(
+                ["s", "a", "b", "t"],
+                [Edge("e0", "s", "a", 2), Edge("e1", "s", "b", 2), Edge("e2", "a", "t", 2),
+                 Edge("e3", "b", "t", 2), Edge("m", "a", "b", 2)],
+                ["s"],
+                ["t"],
+                [("a", "b")],
+            ),
+            network(
+                ["s", "n1", "n2", "t"],
+                [*diamond_network(2, 3, 3, 2, 2).edges, Edge("st", "s", "t", 2)],
+                ["s"],
+                ["t"],
+            ),
+            network(
+                ["s", "n1", "n2", "t"],
+                [*diamond_network(2, 3, 3, 2, 2).edges[:4], Edge("d5", "n1", "n1", 2)],
+                ["s"],
+                ["t"],
+            ),
+            network(
+                ["s", "n1", "n2", "t"],
+                [*diamond_network(2, 3, 3, 2, 2).edges, Edge("d6", "n1", "n2", 2)],
+                ["s"],
+                ["t"],
+            ),
+        ],
+        ids=["path", "split", "staged", "plus_st", "loop_for_middle", "two_middles"],
+    )
+    def test_none_off_the_shape(self, net):
+        assert diamond_edges(net) is None
 
 
 class TestJson:
