@@ -30,7 +30,6 @@ from entcap.codingsearch import (
     source_out_edges,
 )
 from entcap.fixtures import diamond_network, fixture, path_network
-from entcap.reproduce import _status
 from entcap.netmodel import (
     ENUMERATION_LIMIT,
     CyclicNetworkError,
@@ -45,6 +44,7 @@ from entcap.netmodel import (
     random_network,
     topological_order,
 )
+from entcap.reproduce import _status
 from entcap.transforms import SplitSpec, split_cycle_edge
 from networks import oriented_path
 
@@ -633,7 +633,6 @@ def test_c1_exact_matches_ascending_scan(net):
         if oracle[0] == "budget_exceeded" and got == ("exact", l_max):
             continue
         assert got == oracle, (l_max, budget)
-
 
 
 # ---------------------------------------------------------------------------
