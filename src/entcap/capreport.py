@@ -19,6 +19,7 @@ from .codingsearch import (
     SearchConfig,
     c1_exact,
     diamond_c1,
+    direct_c1,
     is_valid,
 )
 from .netmodel import Network, NetworkError, flow_orientation, is_acyclic, min_cut, orient
@@ -114,8 +115,9 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     repeater interval, asserting every proven ordering before returning.
 
     ``mc`` is the min-cut with orientations dropped (the rank's bound).
-    A directed diamond's c1 is counted by
-    :func:`~entcap.codingsearch.diamond_c1`, and its witness re-checked
+    The c1 of a directed diamond, or of a variant with no internal vertex,
+    is counted by :func:`~entcap.codingsearch.diamond_c1` or
+    :func:`~entcap.codingsearch.direct_c1`, and its witness re-checked
     with ``is_valid``.  Every other variant's coding scan stops at its
     directed min-cut, which bounds c1 by the cut-set bound, so a c1
     reaching it needs no impossibility search.  The Q1 upper end is the
@@ -125,7 +127,7 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
         NetworkError: no orientation is acyclic and no split was given, so
             there is no variant to search.
         ReportInvariantError: an ordering fails, or ``is_valid`` rejects a
-            counted diamond witness.
+            counted witness.
     """
     est = estimate_r1(net, trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
@@ -150,11 +152,13 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     for name, variant in variants:
         directed_mc = min_cut(variant).value
         counted = diamond_c1(variant)
+        kind = "diamond" if counted else "direct"
+        counted = counted or direct_c1(variant)
         status = "exact"
         if counted is not None:
             c1, witness = counted
             if not is_valid(variant, witness):
-                raise ReportInvariantError(f"{name}: the counted diamond witness is not valid")
+                raise ReportInvariantError(f"{name}: the counted {kind} witness is not valid")
         else:
             cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
             try:

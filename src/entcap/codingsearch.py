@@ -45,10 +45,11 @@ rows, the pinned ones too, are unflattened from their row-major index as
 they are reached, so a wide source edge costs only the rows tried.
 
 On a directed diamond c1 has a closed form, and :func:`diamond_c1`
-counts it and builds a protocol that reaches it, with no search.  The
-callers that want only the number (``bounds`` and the reproduction
-claims) use it; :func:`exhaustive_achievable` and :func:`c1_exact` stay
-the plain search, and the tests hold the count to it.
+counts it and builds a protocol that reaches it, with no search; on a
+network with no internal vertex, :func:`direct_c1` does.  The callers
+that want only the number (``bounds`` and the reproduction claims) use
+them; :func:`exhaustive_achievable` and :func:`c1_exact` stay the plain
+search, and the tests hold the counts to it.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .netmodel import (
     NetworkError,
     TooLargeError,
     diamond_edges,
+    is_acyclic,
     min_cut,
     topological_order,
 )
@@ -178,6 +180,7 @@ class _Plan(NamedTuple):
     sink: tuple  # ports of the sink in-edges, edge-id order
     read_sink: Callable  # symbol list -> tuple of the sink in-edge symbols
     steps: tuple  # one _Step per computing vertex, topological order
+    live: tuple  # the steps the search computes, topological order
 
 
 def _tuple_reader(positions: tuple):
@@ -208,23 +211,42 @@ def _compile(net: Network) -> _Plan:
     ins = {v: [] for v in net.internal_vertices}
     outs = {v: [] for v in net.internal_vertices}
     for pos, e in sorted(enumerate(net.edges), key=lambda item: item[1].id):
+        tail, head = (e.u, e.v) if e.orientation == "uv" else (e.v, e.u)
         port = (pos, e.dim)
-        if e.tail in sources:
+        if tail in sources:
             source.append(port)
-        if e.head in sinks:
+        if head in sinks:
             sink.append(port)
-        for reader in (e.head, late_of.get(e.head)):
+        for reader in (head, late_of.get(head)):
             if reader in ins:
                 ins[reader].append(port)
-        if e.tail in outs:
-            outs[e.tail].append(port)
+        if tail in outs:
+            outs[tail].append(port)
     steps = tuple(
         _Step(v, tuple(ins[v]), tuple(outs[v][::-1]), prod(dim for _, dim in outs[v]))
         for v in order
         if v in outs
     )
     read_sink = _tuple_reader(tuple(pos for pos, _ in sink))
-    return _Plan(len(net.edges), tuple(source), tuple(sink), read_sink, steps)
+    # Only live steps compute: those a source feeds (a sink forwards
+    # nothing), writing only the out-edges a sink or a live step reads
+    # (a source reads nothing).  A late stage's ins hold its early
+    # stage's in-edges, so a live late keeps its early's writers live.
+    # Every other edge carries 0; it cannot help or hurt injectivity.
+    fed = {pos for pos, _ in source}
+    reached = []
+    for step in steps:
+        if not fed.isdisjoint([pos for pos, _ in step.ins]):
+            reached.append(step)
+            fed.update([pos for pos, _ in step.outs])
+    read = {pos for pos, _ in sink}
+    live = []
+    for step in reversed(reached):
+        outs = tuple([port for port in step.outs if port[0] in read])
+        if outs:
+            live.append(_Step(step.vertex, step.ins, outs, prod([dim for _, dim in outs])))
+            read.update([pos for pos, _ in step.ins])
+    return _Plan(len(net.edges), tuple(source), tuple(sink), read_sink, steps, tuple(live[::-1]))
 
 
 def _source_symbols(plan: _Plan, row) -> list:
@@ -328,15 +350,15 @@ class _Searcher:
     """
 
     def __init__(self, net: Network, cfg: SearchConfig):
-        self.full = _compile(net)
+        self.full = full = _compile(net)
         self.cfg = cfg
         self.l = cfg.alphabet_size
         if self.l < 1:
             raise ValueError("alphabet size must be >= 1")
 
-        self.src_dims = [dim for _, dim in self.full.source]
+        self.src_dims = [dim for _, dim in full.source]
         self.P = prod(self.src_dims)
-        self.max_l = min(self.P, prod(dim for _, dim in self.full.sink))
+        self.max_l = min(self.P, prod([dim for _, dim in full.sink]))
         # The cut-set bound.  The min-cut is no wider than the source or
         # sink cut, so only an l that those admit needs it; past the
         # enumeration limit those end cuts stay the bound.
@@ -346,25 +368,7 @@ class _Searcher:
             except TooLargeError:
                 pass
 
-        # Only live steps compute: those a source feeds (a sink forwards
-        # nothing), writing only the out-edges a sink or a live step reads
-        # (a source reads nothing).  A late stage's ins hold its early
-        # stage's in-edges, so a live late keeps its early's writers live.
-        # Every other edge carries 0; it cannot help or hurt injectivity.
-        fed = {pos for pos, _ in self.full.source}
-        reached = []
-        for step in self.full.steps:
-            if any(pos in fed for pos, _ in step.ins):
-                reached.append(step)
-                fed.update(pos for pos, _ in step.outs)
-        read = {pos for pos, _ in self.full.sink}
-        live = []
-        for step in reversed(reached):
-            outs = tuple(port for port in step.outs if port[0] in read)
-            if outs:
-                live.append(step._replace(outs=outs, codomain=prod(dim for _, dim in outs)))
-                read.update(pos for pos, _ in step.ins)
-        self.plan = self.full._replace(steps=tuple(reversed(live)))
+        self.plan = _Plan(full.size, full.source, full.sink, full.read_sink, full.live, full.live)
 
         # At l = P the message-order break leaves one encoder, the canonical one.
         self.fixed = self.l == self.P
@@ -537,7 +541,7 @@ def c1_exact(net: Network, l_max: int, cfg: SearchConfig | None = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The count on directed diamonds
+# The counts on directed diamonds and on networks with no internal vertex
 # ---------------------------------------------------------------------------
 
 
@@ -613,6 +617,29 @@ def diamond_c1(net: Network) -> tuple[int, ProtocolTable] | None:
     n2_table = tuple((b + y * d2) % d4 for b, y in reads)
     tables = {s1.head: tuple(n1_table), s2.head: n2_table}
     return c1, ProtocolTable(source_encoder=encoder, node_functions=tables)
+
+
+def direct_c1(net: Network) -> tuple[int, ProtocolTable] | None:
+    """The exact c1 of a directed acyclic network with no internal vertex
+    whose source out-edges all enter a sink, and a protocol reaching it,
+    else None.
+
+    The sinks then read every source symbol as sent, so all P source rows
+    decode: c1 is P, the product of the source out-edge dims, which is also
+    the directed min-cut.  Message m is sent as the row of row-major index
+    m.  Raises :class:`~entcap.netmodel.TooLargeError` for more than
+    ``MAX_ENTRIES`` rows, as the search would.
+    """
+    if net.internal_vertices or not all(e.is_directed for e in net.edges) or not is_acyclic(net):
+        return None
+    outs = source_out_edges(net)
+    if not all(e.head in net.sink_set for e in outs):
+        return None
+    dims = [e.dim for e in outs]
+    c1 = prod(dims)
+    if c1 > MAX_ENTRIES:
+        raise TooLargeError(f"{c1} source rows would be listed, above the limit {MAX_ENTRIES}")
+    return c1, ProtocolTable(tuple(_unflatten(m, dims) for m in range(c1)), {})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import prod
 
 ORIENTATIONS = ("undirected", "uv", "vu")
@@ -94,6 +94,9 @@ class Network:
     node-splitting: each pair is one logical node with staged I/O.  The
     late stage sees the full input of its early stage, and ``min_cut``
     counts the pair as one cut unit, so no cut separates the two.
+    ``source_set``, ``sink_set``, ``terminal_set``, ``internal_vertices``
+    (non-terminals in declaration order) and the hash are computed once,
+    when the network is built, for the memos keyed by networks.
     """
 
     vertices: tuple[str, ...]
@@ -103,6 +106,12 @@ class Network:
     stage_pairs: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        sources, sinks = frozenset(self.sources), frozenset(self.sinks)
+        terminals = sources | sinks
+        internal = tuple(v for v in self.vertices if v not in terminals)
+        fields = (self.vertices, self.edges, self.sources, self.sinks, self.stage_pairs)
+        vars(self).update(source_set=sources, sink_set=sinks, terminal_set=terminals)
+        vars(self).update(internal_vertices=internal, _hash=hash(fields))
         errors = []
         vset = set(self.vertices)
         if len(self.vertices) != len(vset):
@@ -144,22 +153,8 @@ class Network:
         if errors:
             raise NetworkError("; ".join(errors))
 
-    @property
-    def source_set(self) -> frozenset[str]:
-        return frozenset(self.sources)
-
-    @property
-    def sink_set(self) -> frozenset[str]:
-        return frozenset(self.sinks)
-
-    @property
-    def terminal_set(self) -> frozenset[str]:
-        return self.source_set | self.sink_set
-
-    @property
-    def internal_vertices(self) -> tuple[str, ...]:
-        t = self.terminal_set
-        return tuple(v for v in self.vertices if v not in t)
+    def __hash__(self) -> int:
+        return self._hash
 
     def edge_by_id(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -230,11 +225,10 @@ def min_cut(net: Network) -> Cut:
     late_of = dict(net.stage_pairs)
     lates = set(late_of.values())
     sources = net.source_set
-    terminals = sources.union(net.sinks)
     units = [
         (v, late_of[v]) if v in late_of else (v,)
-        for v in net.vertices
-        if v not in terminals and v not in lates
+        for v in net.internal_vertices
+        if v not in lates
     ]
     if len(units) > ENUMERATION_LIMIT:
         raise TooLargeError(
@@ -291,18 +285,23 @@ def min_cut(net: Network) -> Cut:
     return Cut(s_side=frozenset(best[1]), value=best[0])
 
 
+def _with_edges(net: Network, edges) -> Network:
+    """``net`` with its edges replaced by ``edges``, validated as any network is."""
+    return Network(net.vertices, tuple(edges), net.sources, net.sinks, net.stage_pairs)
+
+
 def tensor_power(net: Network, n: int) -> Network:
     """``N^(boxtimes n)``: same graph, every dimension raised to the n-th power."""
     if n < 1:
         raise NetworkError("tensor power requires n >= 1")
-    return replace(net, edges=tuple(replace(e, dim=e.dim**n) for e in net.edges))
+    return _with_edges(net, (Edge(e.id, e.u, e.v, e.dim**n, e.orientation) for e in net.edges))
 
 
 def scale(net: Network, k: int) -> Network:
     """``N^(odot k)``: same graph, every dimension multiplied by k."""
     if k < 1:
         raise NetworkError("scale requires k >= 1")
-    return replace(net, edges=tuple(replace(e, dim=e.dim * k) for e in net.edges))
+    return _with_edges(net, (Edge(e.id, e.u, e.v, e.dim * k, e.orientation) for e in net.edges))
 
 
 def orient(net: Network, assignment: dict[str, str]) -> Network:
@@ -317,12 +316,12 @@ def orient(net: Network, assignment: dict[str, str]) -> Network:
             direction = assignment[e.id]
             if direction not in ("uv", "vu"):
                 raise NetworkError(f"edge {e.id}: bad direction {direction!r}")
-            new_edges.append(replace(e, orientation=direction))
+            new_edges.append(Edge(e.id, e.u, e.v, e.dim, direction))
         else:
             if not e.is_directed:
                 raise NetworkError(f"undirected edge {e.id} not covered by assignment")
             new_edges.append(e)
-    return replace(net, edges=tuple(new_edges))
+    return _with_edges(net, new_edges)
 
 
 def drop_orientations(net: Network) -> Network:
@@ -334,9 +333,7 @@ def drop_orientations(net: Network) -> Network:
     """
     if not any(e.is_directed for e in net.edges):
         return net
-    return replace(
-        net, edges=tuple(replace(e, orientation="undirected") for e in net.edges)
-    )
+    return _with_edges(net, (Edge(e.id, e.u, e.v, e.dim) for e in net.edges))
 
 
 def merge_stage_pairs(net: Network) -> Network:
@@ -355,19 +352,21 @@ def merge_stage_pairs(net: Network) -> Network:
     def rename(v: str) -> str:
         return early_of.get(v, v)
 
-    return network(
-        (v for v in net.vertices if v not in early_of),
-        (replace(e, u=rename(e.u), v=rename(e.v)) for e in net.edges),
+    return Network(
+        tuple(v for v in net.vertices if v not in early_of),
+        tuple(Edge(e.id, rename(e.u), rename(e.v), e.dim, e.orientation) for e in net.edges),
         net.sources,
         net.sinks,
     )
 
 
-def topological_order(net: Network) -> list[str]:
+@functools.lru_cache(maxsize=1)
+def topological_order(net: Network) -> tuple[str, ...]:
     """Topological order of a fully directed network, each early stage
     before its late stage.  Among the vertices ready at any point the
     smallest id comes first, so the order is deterministic, and so are the
-    coding witnesses built on it.
+    coding witnesses built on it.  The last order is kept, so
+    :func:`is_acyclic` and then the search's compile sort a network once.
 
     Raises NetworkError on an undirected edge and CyclicNetworkError on a
     directed cycle.
@@ -395,7 +394,7 @@ def topological_order(net: Network) -> list[str]:
         ready.sort()
     if len(order) != len(net.vertices):
         raise CyclicNetworkError("directed network has a cycle")
-    return order
+    return tuple(order)
 
 
 def is_acyclic(net: Network) -> bool:
@@ -549,13 +548,14 @@ def random_network(rng) -> Network:
         edges.append(Edge(id=f"e{len(edges)}", u=u, v=v, dim=dim))
 
     # A guaranteed source->sink route so the boundary map is never trivial.
-    route = ["s", *rng.permutation(internal).tolist(), "t"] if internal else ["s", "t"]
+    order = rng.permutation(n_internal) if internal else ()
+    route = ["s", *(internal[i] for i in order), "t"]
     for u, v in zip(route, route[1:]):
         add(u, v)
     # Sprinkle a few extra edges, bounded per terminal to cap boundary sizes.
     budget = {"s": 1, "t": 1}
     for _ in range(int(rng.integers(0, 3))):
-        u, v = (str(x) for x in rng.choice(vertices, size=2, replace=True))
+        u, v = (vertices[i] for i in rng.integers(0, len(vertices), size=2))
         if u == v:
             continue
         if budget.get(u, 9) <= 0 or budget.get(v, 9) <= 0:

@@ -19,6 +19,7 @@ import numpy as np
 from .codingsearch import (
     SearchConfig,
     diamond_c1,
+    direct_c1,
     exhaustive_achievable,
     is_valid,
     paper_protocol_n2,
@@ -53,10 +54,11 @@ class ClaimResult:
 def _status(net, l) -> str:
     """Whether alphabet size ``l`` is achievable: ``witness`` or
     ``impossible``, or ``invalid witness`` when :func:`is_valid` rejects
-    the protocol found.  A directed diamond is answered from
-    :func:`diamond_c1`: ``impossible`` above its count, else its witness
-    cut to ``l`` messages.  Any other network is searched."""
-    counted = diamond_c1(net)
+    the protocol found.  A directed diamond, or a network with no internal
+    vertex, is answered from its count (:func:`diamond_c1`,
+    :func:`direct_c1`): ``impossible`` above it, else its witness cut to
+    ``l`` messages.  Any other network is searched."""
+    counted = diamond_c1(net) or direct_c1(net)
     if counted is not None:
         c1, witness = counted
         if l > c1:

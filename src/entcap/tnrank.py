@@ -122,9 +122,9 @@ class TensorAssignment:
     tensors: dict  # vertex id -> np.ndarray (int64, entries in [0, p))
 
 
-def _vertex_seed(seed: int, vertex: str) -> np.random.SeedSequence:
-    digest = hashlib.sha256(vertex.encode("utf-8")).digest()
-    return np.random.SeedSequence([seed, int.from_bytes(digest[:8], "big")])
+@functools.lru_cache(maxsize=1024)
+def _vertex_key(vertex: str) -> int:
+    return int.from_bytes(hashlib.sha256(vertex.encode("utf-8")).digest()[:8], "big")
 
 
 def random_assignment(net: Network, field: PrimeField, seed: int) -> TensorAssignment:
@@ -142,7 +142,7 @@ def random_assignment(net: Network, field: PrimeField, seed: int) -> TensorAssig
         _check_entries(f"the tensor at {v!r}", prod(shape))
     tensors = {}
     for v, shape in shapes.items():
-        rng = np.random.Generator(np.random.PCG64(_vertex_seed(seed, v)))
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _vertex_key(v)])))
         tensors[v] = rng.integers(0, field.p, size=shape, dtype=np.int64)
     return TensorAssignment(field=field, tensors=tensors)
 
@@ -217,8 +217,8 @@ def _plan_contraction(net: Network) -> _Plan:
     every array the steps make.
 
     While planning, an axis is labelled by its edge id when the edge
-    joins two internal vertices, and by its boundary slot, ``("row", i)``
-    or ``("col", j)``, when it reaches a terminal.  Among live factors
+    joins two internal vertices, and by the number of its boundary slot,
+    rows first, then columns, when it reaches a terminal.  Among live factors
     that share a label, the pair whose product has the fewest entries
     merges first; factors sharing none merge last, by outer products.
     Each step keeps the first factor's free axes, then the second's.
@@ -235,14 +235,10 @@ def _plan_contraction(net: Network) -> _Plan:
     cols = prod(e.dim for e in col_slots)
     _check_entries("the boundary matrix", rows * cols)
     slot_labels = {}  # edge id -> labels of its boundary slots (two between terminals)
-    for kind, slots in (("row", row_slots), ("col", col_slots)):
-        for i, e in enumerate(slots):
-            slot_labels.setdefault(e.id, []).append((kind, i))
-    dims = {}
-    for e in net.edges:
-        dims[e.id] = e.dim
-        for label in slot_labels.get(e.id, ()):
-            dims[label] = e.dim
+    dims = {e.id: e.dim for e in net.edges}
+    for i, e in enumerate(row_slots + col_slots):
+        slot_labels.setdefault(e.id, []).append(i)
+        dims[i] = e.dim
 
     vertices, labels = [], []
     for v, axes in axes_of.items():
@@ -264,34 +260,37 @@ def _plan_contraction(net: Network) -> _Plan:
             identities.append(e.dim)
             labels.append(tuple(slot_labels[e.id]))
 
+    # A label is on at most two factors, so a product has size_i * size_j / k^2 entries.
     steps = []
-    live = dict(enumerate(labels))
+    live = {i: (frozenset(ls), prod([dims[x] for x in ls])) for i, ls in enumerate(labels)}
     while len(live) > 1:
         best = None
         for i, j in itertools.combinations(live, 2):
-            shared = set(live[i]) & set(live[j])
-            merged = tuple(x for x in live[i] + live[j] if x not in shared)
-            key = (not shared, prod(dims[x] for x in merged), i, j)
-            if best is None or key < best[0]:
-                best = (key, merged)
-        (_, size, i, j), merged = best
+            (set_i, size_i), (set_j, size_j) = live[i], live[j]
+            shared = set_i & set_j
+            k = prod(map(dims.__getitem__, shared))
+            key = (not shared, size_i * size_j // (k * k), i, j)
+            if best is None or key < best:
+                best = key
+        _, size, i, j = best
         _check_entries("an intermediate tensor", size)
-        la, lb = live.pop(i), live.pop(j)
+        del live[i], live[j]
+        la, lb = labels[i], labels[j]
         shared = tuple(x for x in la if x in lb)
+        merged = tuple(x for x in la + lb if x not in shared)
         n = len(la) - len(shared)  # merged is la's free labels, then lb's
         left = tuple(map(la.index, merged[:n] + shared))
         right = tuple(map(lb.index, shared + merged[n:]))
-        k = prod(dims[x] for x in shared)
-        steps.append((i, j, left, right, k, tuple(dims[x] for x in merged)))
-        live[len(labels)] = merged
+        k = prod(map(dims.__getitem__, shared))
+        steps.append((i, j, left, right, k, tuple(map(dims.__getitem__, merged))))
+        live[len(labels)] = (frozenset(merged), size)
         labels.append(merged)
-    slots = [("row", i) for i in range(len(row_slots))]
-    slots += [("col", j) for j in range(len(col_slots))]
+    n_slots = len(row_slots) + len(col_slots)
     return _Plan(
         vertices=tuple(vertices),
         identities=tuple(identities),
         steps=tuple(steps),
-        order=tuple(map(labels[-1].index, slots)) if labels else (),
+        order=tuple(map(labels[-1].index, range(n_slots))) if labels else (),
         rows=rows,
         cols=cols,
     )
@@ -499,11 +498,10 @@ def estimate_r1(
             if r == mc:
                 break
     degree = min(plan.rows, plan.cols) * len(net.internal_vertices)
-    per_trial = min(Fraction(1), Fraction(degree, field.p))
     return R1Estimate(
         r1_lower=best_rank,
         mc_upper=mc,
-        failure_bound=per_trial**trials,
+        failure_bound=Fraction(min(degree, field.p) ** trials, field.p**trials),
         trials=trials,
         witness_seed=best_seed,
         net=net,

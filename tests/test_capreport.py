@@ -137,6 +137,8 @@ class TestBoundsReport:
         monkeypatch.setattr(capreport, "is_valid", lambda net, pt: False)
         with pytest.raises(ReportInvariantError, match="counted diamond witness"):
             bounds_report(fixture("n_d5_2"))
+        with pytest.raises(ReportInvariantError, match="counted direct witness"):
+            bounds_report(path_network(5))
 
     def test_regularized_c_is_best_directed_mc(self):
         report = bounds_report(fixture("n_d5_2"))

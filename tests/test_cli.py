@@ -501,6 +501,17 @@ class TestBounds:
         assert obj["c1"] == [{**variant, "c1": 61, "status": "budget_exceeded"}]
         assert obj["q1"] == {"lower": 61, "upper": 500}
 
+    def test_wide_st_edge_is_counted(self, capsys, fixture_file):
+        # An s-t edge of dim 1000 has no internal vertex, so its c1 is
+        # counted, not searched: the search would nest past the recursion
+        # limit at l = 1000 (``c1 --l 1000`` still refuses it).
+        code, out, err = run(capsys, ["bounds", fixture_file("st_dim_1000")])
+        assert (code, err) == (EXIT_OK, "")
+        obj = json.loads(out)
+        variant = {"variant": "orient[e0=uv]", "directed_mc": 1000}
+        assert obj["c1"] == [{**variant, "c1": 1000, "status": "exact"}]
+        assert obj["q1"] == {"lower": 1000, "upper": 1000}
+
 
 class TestBadArguments:
     @pytest.mark.parametrize(
@@ -560,9 +571,8 @@ class TestBadArguments:
             ("c1", "dead_edge_1e19", "--l 2"),
             ("c1", "dead_edge_1e19", "--exact-up-to 3"),
             # Searches that recurse past the recursion limit of 1000: the
-            # pinned encoder takes l = dim (1000, 500, 1000 and 8) messages,
-            # each nesting once more per relaying vertex.
-            ("bounds", "st_dim_1000", ""),
+            # pinned encoder takes l = dim (500, 1000 and 8) messages, each
+            # nesting once more per relaying vertex.
             ("bounds", "snt_dims_500_500", ""),
             ("c1", "st_uv_dim_1000", "--l 1000"),
             ("c1", "path_150_dim_8", "--l 8"),

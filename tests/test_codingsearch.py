@@ -22,6 +22,7 @@ from entcap.codingsearch import (
     _tuple_reader,
     c1_exact,
     diamond_c1,
+    direct_c1,
     exhaustive_achievable,
     is_valid,
     paper_protocol_n2,
@@ -737,3 +738,57 @@ def test_diamond_witness_reaches_the_count(drawn):
     assert witness.alphabet_size == c1
     assert is_valid(net, witness)
     assert c1 <= min_cut(net).value
+
+
+# ---------------------------------------------------------------------------
+# The count on networks with no internal vertex, against the search
+# ---------------------------------------------------------------------------
+
+#: Directed arcs between the terminals of sources s, s2 and sinks t, t2:
+#: into a sink, then ones that carry nothing (into a source, between two
+#: sinks), then one between two sources, which the count leaves to the search.
+_TERMINAL_ARCS = [("s", "t"), ("s", "t2"), ("s2", "t"), ("t", "s"), ("t", "t2"), ("s", "s2")]
+
+
+def _terminal_networks():
+    """Every network of one to three of those arcs, with dims 1..3."""
+    for n in (1, 2, 3):
+        for arcs in itertools.combinations(_TERMINAL_ARCS, n):
+            for dims in itertools.product(range(1, 4), repeat=n):
+                edges = [Edge(f"e{i}", u, v, d, "uv") for i, ((u, v), d) in enumerate(zip(arcs, dims))]
+                yield network(["s", "s2", "t", "t2"], edges, ["s", "s2"], ["t", "t2"])
+
+
+class TestDirectCount:
+    def test_matches_the_search(self):
+        counted = 0
+        for net in _terminal_networks():
+            result = direct_c1(net)
+            # The search refuses a cycle (s -> t -> s); the count leaves it to it.
+            if not is_acyclic(net) or any(e.u == "s" and e.v == "s2" for e in net.edges):
+                assert result is None
+                continue
+            counted += 1
+            c1, witness = result
+            assert c1 == min_cut(net).value == c1_exact(net, c1 + 1)
+            assert witness.alphabet_size == c1 and is_valid(net, witness)
+            for l in range(1, c1 + 2):
+                assert _status(net, l) == exhaustive_achievable(net, SearchConfig(l)).status
+        # 5, 9 and 7 acyclic sets of one, two and three arcs off s -> s2.
+        assert counted == 5 * 3 + 9 * 3**2 + 7 * 3**3
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            path_network(3),
+            oriented_path(2, 3),
+            network(["s", "a", "t"], [Edge("st", "s", "t", 2, "uv")], ["s"], ["t"]),
+        ],
+        ids=["undirected", "relay", "isolated_vertex"],
+    )
+    def test_none_off_the_shape(self, net):
+        assert direct_c1(net) is None
+
+    def test_rows_past_the_cap_refused(self):
+        with pytest.raises(TooLargeError, match="source rows"):
+            direct_c1(oriented_path(2**24 + 1))

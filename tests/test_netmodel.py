@@ -11,12 +11,14 @@ from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_tex
 from entcap.netmodel import (
     ORIENTATIONS,
     Cut,
+    CyclicNetworkError,
     Edge,
     Network,
     NetworkError,
     TooLargeError,
     cut_value,
     diamond_edges,
+    drop_orientations,
     dump_network,
     is_acyclic,
     load_network,
@@ -27,6 +29,7 @@ from entcap.netmodel import (
     random_network,
     scale,
     tensor_power,
+    topological_order,
 )
 from entcap.transforms import SplitSpec, split_cycle_edge
 
@@ -75,6 +78,65 @@ class TestValidate:
     )
     def test_edge_arcs(self, u, v, orientation, arcs):
         assert Edge("e", u, v, 2, orientation).arcs == arcs
+
+
+def _property_suite_networks():
+    """The 200 random networks of the property-suite claim at seed 0."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    return [random_network(rng) for _ in range(200)]
+
+
+def _with_derived(nets):
+    """Each network, then what the rank, the cut and the search build from it."""
+    for net in nets:
+        yield net
+        yield tensor_power(net, 2)
+        yield scale(net, 3)
+        yield drop_orientations(net)
+        yield merge_stage_pairs(net)
+        yield orient(net, {e.id: "uv" for e in net.edges if not e.is_directed})
+
+
+class TestViews:
+    """The hash and the views a network computes once, when it is built,
+    are only caches: each equals the value computed afresh."""
+
+    @pytest.mark.parametrize(
+        "nets",
+        [[fixture(name) for name in FIXTURE_NAMES], _property_suite_networks()],
+        ids=["fixtures", "property-suite"],
+    )
+    def test_match_a_fresh_network(self, nets):
+        for net in _with_derived(nets):
+            fresh = load_network(dump_network(net))
+            assert fresh == net and fresh is not net
+            sources, sinks = frozenset(fresh.sources), frozenset(fresh.sinks)
+            assert net.source_set == fresh.source_set == sources
+            assert net.sink_set == fresh.sink_set == sinks
+            assert net.terminal_set == fresh.terminal_set == sources | sinks
+            internal = tuple(v for v in fresh.vertices if v not in sources | sinks)
+            assert net.internal_vertices == fresh.internal_vertices == internal
+            fields = (fresh.vertices, fresh.edges, fresh.sources, fresh.sinks, fresh.stage_pairs)
+            assert hash(net) == hash(fresh) == hash(fields)
+
+    def test_equal_networks_hash_equal(self):
+        for name in FIXTURE_NAMES:
+            net = fixture(name)
+            copies = [
+                load_network(fixture_text(name)),
+                replace(net),
+                network(list(net.vertices), list(net.edges), net.sources, net.sinks, net.stage_pairs),
+                tensor_power(net, 1),
+                scale(net, 1),
+            ]
+            for other in copies:
+                assert other == net and hash(other) == hash(net)
+
+    def test_views_are_not_fields(self):
+        # Equality, repr and replace read the five declared fields only.
+        net = fixture("n_d5_2")
+        assert "internal_vertices" not in repr(net)
+        assert replace(net, sinks=("n2",)).internal_vertices == ("n1", "t")
 
 
 class TestMinCut:
@@ -383,6 +445,99 @@ class TestOrient:
         for dirs in itertools.product(("uv", "vu"), repeat=len(eids)):
             oriented = orient(net, dict(zip(eids, dirs)))
             assert min_cut(oriented).value <= undirected_mc
+
+
+def _reference_order(net):
+    """The topological order as first written: re-sort the ready vertices
+    after every step and take the smallest."""
+    succ = {v: set() for v in net.vertices}
+    for e in net.edges:
+        succ[e.tail].add(e.head)
+    for early, late in net.stage_pairs:
+        succ[early].add(late)
+    indeg = {v: 0 for v in net.vertices}
+    for outs in succ.values():
+        for w in outs:
+            indeg[w] += 1
+    ready = sorted(v for v in net.vertices if indeg[v] == 0)
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        for w in sorted(succ[v]):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+        ready.sort()
+    return tuple(order) if len(order) == len(net.vertices) else None
+
+
+class TestTopologicalOrder:
+    def test_matches_the_reference(self):
+        nets = [
+            split_cycle_edge(fixture("n_d5_4"), SplitSpec("d5", 2, 2)),
+            fixture("n2_up"),
+            fixture("n4_split_2x2"),
+        ]
+        n4 = diamond_network(2, 3, 3, 2, 4)
+        eids = [e.id for e in n4.edges]
+        nets += [orient(n4, dict(zip(eids, dirs))) for dirs in itertools.product(("uv", "vu"), repeat=5)]
+        rng = random.Random(3)
+        for net in _property_suite_networks():
+            nets.append(orient(net, {e.id: rng.choice(("uv", "vu")) for e in net.edges}))
+        cyclic = 0
+        for net in nets:
+            expected = _reference_order(net)
+            if expected is None:
+                cyclic += 1
+                assert not is_acyclic(net)
+                with pytest.raises(CyclicNetworkError):
+                    topological_order(net)
+            else:
+                assert topological_order(net) == topological_order.__wrapped__(net) == expected
+        assert 0 < cyclic < len(nets)
+
+    def test_is_acyclic_then_order_sorts_once(self):
+        net = fixture("n2_up")
+        topological_order.cache_clear()
+        assert is_acyclic(net)
+        topological_order(load_network(dump_network(net)))
+        info = topological_order.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def _named_random_network(rng):
+    """``random_network`` as first written, permuting and choosing from
+    the lists of vertex names; the oracle for its index draws."""
+    n_internal = int(rng.integers(0, 5))
+    internal = [f"n{i}" for i in range(1, n_internal + 1)]
+    vertices = ["s", *internal, "t"]
+    edges = []
+
+    def add(u, v):
+        edges.append(Edge(id=f"e{len(edges)}", u=u, v=v, dim=int(rng.integers(1, 5))))
+
+    route = ["s", *rng.permutation(internal).tolist(), "t"] if internal else ["s", "t"]
+    for u, v in zip(route, route[1:]):
+        add(u, v)
+    budget = {"s": 1, "t": 1}
+    for _ in range(int(rng.integers(0, 3))):
+        u, v = (str(x) for x in rng.choice(vertices, size=2, replace=True))
+        if u == v or budget.get(u, 9) <= 0 or budget.get(v, 9) <= 0:
+            continue
+        for w in (u, v):
+            if w in budget:
+                budget[w] -= 1
+        add(u, v)
+    return network(vertices, edges, ["s"], ["t"])
+
+
+def test_random_network_index_draws_match_named_draws():
+    for seed in range(300):
+        a, b = np.random.Generator(np.random.PCG64(seed)), np.random.Generator(np.random.PCG64(seed))
+        for _ in range(20):
+            assert random_network(a) == _named_random_network(b), seed
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestMergeStagePairs:

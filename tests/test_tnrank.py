@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import prod
@@ -136,6 +137,52 @@ class TestRandomAssignment:
         net = path_network(10**6, 10**6)
         with pytest.raises(TooLargeError, match="the tensor at 'n1'"):
             random_assignment(net, PrimeField(), seed=0)
+
+
+#: numpy promises the same ``Generator`` stream only within one version,
+#: so the pins below hold for the version they were recorded with.
+PINNED_NUMPY = "2.4.6"
+
+#: sha256 over every tensor ``random_assignment`` draws on each fixture at
+#: seeds 0, 1 and 7 (see ``_draws_digest``).
+PINNED_DRAWS = "1a714b6423636192bae69e5eccbd1eeb25d6210eb47b514ad342866de97699f0"
+
+#: ``_trial_seed(s, t)`` for s, t < 4, row s.
+PINNED_TRIAL_SEEDS = [
+    [12750949206108985319, 17029223190271853676, 13490992829113174973, 11222848102595132014],
+    [7883430198869069541, 5106859519625161097, 6858248496773155009, 17226065100414665902],
+    [12172482724234175010, 1321245530788527746, 5755371474409674551, 9056032179904243166],
+    [6772693778316037487, 1963617303309389107, 4124585228780039059, 18267611208432274339],
+]
+
+
+def _draws_digest() -> str:
+    h = hashlib.sha256()
+    for name in FIXTURE_NAMES:
+        for seed in (0, 1, 7):
+            tensors = random_assignment(fixture(name), PrimeField(), seed).tensors
+            for v in sorted(tensors):
+                h.update(f"{name}/{seed}/{v}/{tensors[v].shape}/".encode())
+                h.update(tensors[v].astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+class TestDrawPin:
+    """Every drawn tensor is keyed by (seed, vertex id); a change to how
+    the draws are seeded must not change a single entry."""
+
+    def test_tensors(self):
+        assert _draws_digest() == PINNED_DRAWS, (
+            f"random_assignment draws changed (pinned with numpy {PINNED_NUMPY}, "
+            f"running numpy {np.__version__})"
+        )
+
+    def test_trial_seeds(self):
+        got = [[_trial_seed(s, t) for t in range(4)] for s in range(4)]
+        assert got == PINNED_TRIAL_SEEDS, (
+            f"_trial_seed changed (pinned with numpy {PINNED_NUMPY}, "
+            f"running numpy {np.__version__})"
+        )
 
 
 class TestContract:
