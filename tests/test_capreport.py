@@ -335,7 +335,7 @@ def _best_over_all_orientations(net):
         if not is_acyclic(oriented):
             continue
         directed_mc = min_cut(oriented).value
-        cfg = SearchConfig(1, budget=_BUDGET, fix_source_bijection=True)
+        cfg = SearchConfig(1, budget=_BUDGET)
         try:
             c1 = c1_exact(oriented, directed_mc, cfg)
         except BudgetExceededError:

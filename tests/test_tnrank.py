@@ -248,7 +248,11 @@ class TestContract:
 
 class TestMatmulMod:
     @pytest.mark.parametrize("p", PRIMES)
-    @pytest.mark.parametrize("m,k,n", [(1, 1, 1), (3, 5, 4), (2, 40_000, 3)])
+    @pytest.mark.parametrize(
+        "m,k,n",
+        # k = 2^16 - 1 is the last single chunk; 2^16 and 70,000 take two.
+        [(1, 1, 1), (3, 5, 4), (2, 40_000, 3), (2, 2**16 - 1, 3), (2, 2**16, 3), (2, 70_000, 3)],
+    )
     def test_all_entries_p_minus_1(self, p, m, k, n):
         a = np.full((m, k), p - 1, dtype=np.int64)
         b = np.full((k, n), p - 1, dtype=np.int64)
@@ -267,6 +271,15 @@ class TestMatmulMod:
             for row in a
         ]
         assert matmul_mod(a, b, p).tolist() == expected
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_row_vector_across_chunks_against_python_ints(self, p):
+        rng = np.random.Generator(np.random.PCG64(p))
+        a = rng.integers(0, p, size=(1, 70_000), dtype=np.int64)
+        b = rng.integers(0, p, size=(70_000, 2), dtype=np.int64)
+        row = a[0].tolist()
+        expected = [sum(x * y for x, y in zip(row, col)) % p for col in b.T.tolist()]
+        assert matmul_mod(a, b, p).tolist() == [expected]
 
     def test_inner_dimension_from_2_30_rejected(self):
         # Zero strides: neither operand allocates its 2^30 entries.
@@ -442,6 +455,8 @@ class TestRankModP:
         assert rank_mod_p(BoundaryMatrix(PrimeField(101), m)) == 2
 
     def test_against_minor_oracle(self):
+        # Every shape here has at most 16 entries, so this reaches only the
+        # Python-int elimination; TestRankPathsAgree checks it against numpy's.
         def oracle_rank(m, p):
             """Largest k with a k x k submatrix of nonzero determinant mod p."""
             n_rows, n_cols = m.shape
@@ -480,6 +495,40 @@ class TestRankModP:
             m = rng.integers(0, field.p, size=shape, dtype=np.int64)
             bm = BoundaryMatrix(field, m)
             assert rank_mod_p(bm) == oracle_rank(m, field.p)
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """A product of random n x r and r x m factors mod p, some rows and
+    columns zeroed and some entries raised by multiples of p."""
+    p = draw(st.sampled_from(PRIMES))
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(0, min(n, m)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    u = rng.integers(0, p, size=(n, r), dtype=np.int64)
+    v = rng.integers(0, p, size=(r, m), dtype=np.int64)
+    a = matmul_mod(u, v, p) if r else np.zeros((n, m), dtype=np.int64)
+    a[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0
+    a[:, draw(st.lists(st.integers(0, m - 1), max_size=m))] = 0
+    a += p * rng.integers(0, 2, size=(n, m)) * rng.integers(1, 4, size=(n, m))
+    return a, p, r
+
+
+class TestRankPathsAgree:
+    """The Python-int elimination of small matrices against the numpy one
+    that ranks larger matrices, on shapes either side of the threshold."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_low_rank_matrices())
+    def test_same_rank(self, case):
+        a, p, r = case
+        rank = tnrank._rank_numpy(a, p)
+        assert tnrank._rank_ints(a.tolist(), p) == rank <= r
+        assert rank_mod_p(BoundaryMatrix(PrimeField(p), a)) == rank
+
+    def test_threshold_between_shapes(self):
+        # The strategy's shapes reach both paths of rank_mod_p.
+        assert 1 <= tnrank.SMALL_RANK_ENTRIES < 12 * 12
 
 
 class TestEstimateR1:
@@ -618,6 +667,41 @@ class TestEarlyStop:
         monkeypatch.setattr(tnrank, "contract", counting)
         estimate_r1(fixture(name), trials=trials)
         assert len(calls) == contracts
+
+
+class TestWitnessIsRanked:
+    @pytest.mark.parametrize(
+        "nets",
+        [[fixture(name) for name in FIXTURE_NAMES], _property_suite_networks()],
+        ids=["fixtures", "property-suite"],
+    )
+    def test_winning_trial_is_the_witness(self, monkeypatch, nets):
+        wirings, contracted = [], []
+
+        def counting_wiring(net):
+            wirings.append(net)
+            return wiring(net)
+
+        def spying_contract(net, ta):
+            bm = contract(net, ta)
+            contracted.append((ta, rank_mod_p(bm)))
+            return bm
+
+        wiring = tnrank._wiring
+        monkeypatch.setattr(tnrank, "_wiring", counting_wiring)
+        monkeypatch.setattr(tnrank, "contract", spying_contract)
+        for net in nets:
+            _plan_contraction.cache_clear()
+            wirings.clear()
+            contracted.clear()
+            est = estimate_r1(net)
+            assert len(wirings) == 1
+            ranks = [r for _, r in contracted]
+            winner = contracted[ranks.index(max(ranks))][0]
+            witness = est.witness
+            assert winner.tensors.keys() == witness.tensors.keys()
+            assert all(np.array_equal(t, witness.tensors[v]) for v, t in winner.tensors.items())
+            assert rank_mod_p(contract(est.net, witness)) == est.r1_lower == max(ranks)
 
 
 class TestPlanMemo:

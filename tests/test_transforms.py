@@ -87,7 +87,7 @@ class TestSplit:
             diamond_network(2, 3, 3, 2, 1),
             {"d1": "uv", "d2": "uv", "d3": "uv", "d4": "uv", "d5": "uv"},
         )
-        cfg = SearchConfig(1, fix_source_bijection=True)
+        cfg = SearchConfig(1)
         assert c1_exact(split, 8, cfg) == c1_exact(no_middle, 8, cfg)
 
 
