@@ -18,8 +18,12 @@ One line per call follows: the minimum and median milliseconds over the
 rounds on each side, the change's median over the parent's, and
 ``<probe`` when the change's median is under the ``PROBE_INTERVAL_S`` of
 the change's ``perfbench/run.py``, i.e. when a perfbench run may take
-no probe sample inside that call.  The times are raw: no probe
-normalizes them, so compare sides only within one run of this script.
+no probe sample inside that call.  After the table, one line flags each
+workload and side whose calls all have medians under that side's
+``PROBE_INTERVAL_S``: a perfbench run of it samples the probe only when
+the host stalls a call, and a run with no sample exits 1.  The times are
+raw: no probe normalizes them, so compare sides only within one run of
+this script.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ def main(argv=None) -> int:
             for name, calls in run_side(roots[side], side, args.workload).items():
                 for j, (label, seconds) in enumerate(calls):
                     times[side].setdefault((name, j, label), []).append(seconds)
-    interval = probe_interval(roots["change"])
+    intervals = {side: probe_interval(roots[side]) for side in SIDES}
     print(f"{'workload':<16} {'call':<34} {'parent min':>10} {'median':>8} "
           f"{'change min':>10} {'median':>8} {'ratio':>6}  (ms, {ROUNDS} rounds)")
     for key, parent in times["parent"].items():
@@ -121,9 +125,19 @@ def main(argv=None) -> int:
         if change is None:
             sys.exit(f"error: the change has no call {key[2]!r} in {key[0]}")
         p_med, c_med = statistics.median(parent), statistics.median(change)
-        mark = "  <probe" if c_med < interval else ""
+        mark = "  <probe" if c_med < intervals["change"] else ""
         print(f"{key[0]:<16} {key[2]:<34} {min(parent) * 1e3:10.2f} {p_med * 1e3:8.2f} "
               f"{min(change) * 1e3:10.2f} {c_med * 1e3:8.2f} {c_med / p_med:6.3f}{mark}")
+    for side in SIDES:
+        slowest = {}  # workload -> its slowest call's median
+        for (name, _, _), seconds in times[side].items():
+            slowest[name] = max(slowest.get(name, 0.0), statistics.median(seconds))
+        for name, median in slowest.items():
+            if median < intervals[side]:
+                print(f"{side} {name}: every call's median is under the "
+                      f"{intervals[side] * 1e3:g} ms probe interval; a perfbench/run.py run "
+                      f"samples the probe only when the host stalls a call, and a run with "
+                      f"no sample exits 1")
     return 0
 
 

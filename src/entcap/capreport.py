@@ -16,11 +16,10 @@ from fractions import Fraction
 from .codingsearch import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    ProtocolError,
     SearchConfig,
     c1_exact,
-    diamond_c1,
-    direct_c1,
-    is_valid,
+    counted_c1,
 )
 from .netmodel import Network, NetworkError, flow_orientation, is_acyclic, min_cut, orient
 from .tnrank import diamond_r1, estimate_r1
@@ -115,19 +114,19 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     repeater interval, asserting every proven ordering before returning.
 
     ``mc`` is the min-cut with orientations dropped (the rank's bound).
-    The c1 of a directed diamond, or of a variant with no internal vertex,
-    is counted by :func:`~entcap.codingsearch.diamond_c1` or
-    :func:`~entcap.codingsearch.direct_c1`, and its witness re-checked
-    with ``is_valid``.  Every other variant's coding scan stops at its
-    directed min-cut, which bounds c1 by the cut-set bound, so a c1
-    reaching it needs no impossibility search.  The Q1 upper end is the
-    exact R1 of a diamond with d5 <= 2, and ``mc`` elsewhere.
+    A variant whose shape a count covers (a directed diamond, or no
+    internal vertex) takes its c1 from
+    :func:`~entcap.codingsearch.counted_c1`, which re-checks the count's
+    witness in full with ``is_valid``.  Every other variant's coding scan
+    stops at its directed min-cut, which bounds c1 by the cut-set bound,
+    so a c1 reaching it needs no impossibility search.  The Q1 upper end
+    is the exact R1 of a diamond with d5 <= 2, and ``mc`` elsewhere.
 
     Raises:
         NetworkError: no orientation is acyclic and no split was given, so
             there is no variant to search.
-        ReportInvariantError: an ordering fails, or ``is_valid`` rejects a
-            counted witness.
+        ReportInvariantError: an ordering fails, or ``counted_c1`` rejects a
+            counted witness; the message names the variant and the count.
     """
     est = estimate_r1(net, trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
@@ -151,14 +150,13 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     notes = []
     for name, variant in variants:
         directed_mc = min_cut(variant).value
-        counted = diamond_c1(variant)
-        kind = "diamond" if counted else "direct"
-        counted = counted or direct_c1(variant)
+        try:
+            counted = counted_c1(variant)
+        except ProtocolError as exc:
+            raise ReportInvariantError(f"{name}: {exc}") from exc
         status = "exact"
         if counted is not None:
-            c1, witness = counted
-            if not is_valid(variant, witness):
-                raise ReportInvariantError(f"{name}: the counted {kind} witness is not valid")
+            c1 = counted[0]
         else:
             cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
             try:

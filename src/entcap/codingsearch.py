@@ -47,9 +47,10 @@ they are reached, so a wide source edge costs only the rows tried.
 On a directed diamond c1 has a closed form, and :func:`diamond_c1`
 counts it and builds a protocol that reaches it, with no search; on a
 network with no internal vertex, :func:`direct_c1` does.  The callers
-that want only the number (``bounds`` and the reproduction claims) use
-them; :func:`exhaustive_achievable` and :func:`c1_exact` stay the plain
-search, and the tests hold the counts to it.
+that want only the number (``bounds`` and the reproduction claims) take
+it from :func:`counted_c1`, which re-checks the count's whole witness; a
+new count is one more entry there.  :func:`exhaustive_achievable` and
+:func:`c1_exact` stay the plain search, and the tests hold the counts to it.
 """
 
 from __future__ import annotations
@@ -640,6 +641,29 @@ def direct_c1(net: Network) -> tuple[int, ProtocolTable] | None:
     if c1 > MAX_ENTRIES:
         raise TooLargeError(f"{c1} source rows would be listed, above the limit {MAX_ENTRIES}")
     return c1, ProtocolTable(tuple(_unflatten(m, dims) for m in range(c1)), {})
+
+
+#: The counts :func:`counted_c1` tries, in order, by the name its error gives.
+_COUNTS = (("diamond", diamond_c1), ("direct", direct_c1))
+
+
+def counted_c1(net: Network) -> tuple[int, ProtocolTable] | None:
+    """``(c1, witness)`` from the first count in ``_COUNTS`` that covers
+    ``net``'s shape, else None.  Raises :class:`ProtocolError` naming the
+    count ("the counted diamond witness is not valid") when :func:`is_valid`
+    rejects the whole witness or finds its tables malformed."""
+    for kind, count in _COUNTS:
+        counted = count(net)
+        if counted is not None:
+            error = f"the counted {kind} witness is not valid"
+            try:
+                valid = is_valid(net, counted[1])
+            except ProtocolError as exc:
+                raise ProtocolError(f"{error}: {exc}") from exc
+            if not valid:
+                raise ProtocolError(error)
+            return counted
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codingsearch import (
+    ProtocolError,
     SearchConfig,
-    diamond_c1,
-    direct_c1,
+    counted_c1,
     exhaustive_achievable,
     is_valid,
     paper_protocol_n2,
@@ -54,17 +54,16 @@ class ClaimResult:
 def _status(net, l) -> str:
     """Whether alphabet size ``l`` is achievable: ``witness`` or
     ``impossible``, or ``invalid witness`` when :func:`is_valid` rejects
-    the protocol found.  A directed diamond, or a network with no internal
-    vertex, is answered from its count (:func:`diamond_c1`,
-    :func:`direct_c1`): ``impossible`` above it, else its witness cut to
-    ``l`` messages.  Any other network is searched."""
-    counted = diamond_c1(net) or direct_c1(net)
+    the protocol found.  A network that a count covers is answered from
+    :func:`counted_c1`, whose witness is re-checked in full at every ``l``:
+    ``impossible`` above its c1, else ``witness``.  Any other network is
+    searched."""
+    try:
+        counted = counted_c1(net)
+    except ProtocolError:
+        return "invalid witness"
     if counted is not None:
-        c1, witness = counted
-        if l > c1:
-            return "impossible"
-        witness = replace(witness, source_encoder=witness.source_encoder[:l])
-        return "witness" if is_valid(net, witness) else "invalid witness"
+        return "witness" if l <= counted[0] else "impossible"
     res = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
     if res.status == "witness" and not is_valid(net, res.witness):
         return "invalid witness"
@@ -111,8 +110,9 @@ def _claim_coding_achievability(seed):
 def _claim_coding_impossibility(seed):
     """l = 6 is impossible on up-oriented N2 and on each of the 18 acyclic
     orientations of N4 (d5 = 4).  The two orientations that are directed
-    diamonds are counted (:func:`diamond_c1`); the others, with a terminal
-    edge against the flow, and the split N2 are searched."""
+    diamonds are counted (:func:`counted_c1`, witnesses re-checked in
+    full); the others, with a terminal edge against the flow, and the
+    split N2 are searched."""
     statuses = {_status(fixture("n2_up"), 6)}
     n4 = diamond_network(2, 3, 3, 2, 4)
     eids = [e.id for e in n4.edges]

@@ -51,14 +51,14 @@ def call_times():
     return module
 
 
-def _checkouts(tmp_path, answers):
+def _checkouts(tmp_path, answers, interval=0.005):
     log = tmp_path / "order.log"
     for side, answer in answers.items():
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "workloads.py").write_text(
             WORKLOADS_PY.format(log=str(log), side=side, answer=answer)
         )
-        (tmp_path / side / "perfbench" / "run.py").write_text("PROBE_INTERVAL_S = 0.005\n")
+        (tmp_path / side / "perfbench" / "run.py").write_text(f"PROBE_INTERVAL_S = {interval}\n")
     return [str(tmp_path / side) for side in answers], log
 
 
@@ -74,6 +74,17 @@ def test_one_line_per_call_with_probe_mark(call_times, tmp_path, capsys):
     assert all(float(x) >= 10 for x in sleep[2:6])
     # Rounds alternate which side starts, the parent first in round 0.
     assert log.read_text().split() == ["parent", "change", "change", "parent"] * 3 + ["parent", "change"]
+
+
+def test_workload_under_the_probe_flagged_per_side(call_times, tmp_path, capsys):
+    # Both calls, the instant one and the 10 ms one, end under a 50 ms probe.
+    sides, _ = _checkouts(tmp_path, {"parent": 42, "change": 42}, interval=0.05)
+    assert call_times.main(sides) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 5 and all(line.endswith("<probe") for line in lines[1:3])
+    for side, line in zip(("parent", "change"), lines[3:]):
+        assert line.startswith(f"{side} quick: every call's median is under the 50 ms probe")
+        assert line.endswith("a run with no sample exits 1")
 
 
 def test_wrong_answer_exits_1_with_one_line(call_times, tmp_path):

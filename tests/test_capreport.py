@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from entcap import capreport
+from entcap import capreport, codingsearch
 from entcap.capreport import (
     ReportInvariantError,
     ReportOptions,
@@ -14,7 +14,7 @@ from entcap.capreport import (
     bounds_report,
     report_to_obj,
 )
-from entcap.codingsearch import BudgetExceededError, SearchConfig, c1_exact
+from entcap.codingsearch import BudgetExceededError, ProtocolTable, SearchConfig, c1_exact
 from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, path_network
 from entcap.netmodel import (
     Edge,
@@ -26,8 +26,10 @@ from entcap.netmodel import (
     orient,
     random_network,
 )
+from entcap.reproduce import _status
 from entcap.tnrank import estimate_r1
 from entcap.transforms import SplitSpec
+from networks import oriented_path
 
 
 # Both fig2 tests read the one report, at the default budget: both of
@@ -134,11 +136,36 @@ class TestBoundsReport:
         assert all(r.status == "exact" for r in report.c1_results)
 
     def test_counted_witness_rechecked(self, monkeypatch):
-        monkeypatch.setattr(capreport, "is_valid", lambda net, pt: False)
+        monkeypatch.setattr(codingsearch, "is_valid", lambda net, pt: False)
         with pytest.raises(ReportInvariantError, match="counted diamond witness"):
             bounds_report(fixture("n_d5_2"))
         with pytest.raises(ReportInvariantError, match="counted direct witness"):
             bounds_report(path_network(5))
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            orient(diamond_network(2, 3, 3, 2, 2), {f"d{i}": "uv" for i in range(1, 6)}),
+            oriented_path(5),
+        ],
+        ids=["directed_diamond", "direct"],
+    )
+    def test_counted_witness_rechecked_by_claims(self, net, monkeypatch):
+        # The claims re-check the whole counted witness, above c1 too.
+        c1 = codingsearch.counted_c1(net)[0]
+        monkeypatch.setattr(codingsearch, "is_valid", lambda net, pt: False)
+        for l in (c1, c1 + 1):
+            assert _status(net, l) == "invalid witness", l
+
+    def test_malformed_counted_table_is_a_failure(self, monkeypatch):
+        # is_valid's own ProtocolError (a row of the wrong arity) is reported
+        # as a rejected count, not as bad input.
+        malformed = ProtocolTable(((0, 0),), {})
+        monkeypatch.setattr(codingsearch, "_COUNTS", (("direct", lambda net: (5, malformed)),))
+        with pytest.raises(ReportInvariantError, match="counted direct witness is not valid: "
+                           "source encoder row arity mismatch"):
+            bounds_report(path_network(5))
+        assert _status(oriented_path(5), 1) == "invalid witness"
 
     def test_regularized_c_is_best_directed_mc(self):
         report = bounds_report(fixture("n_d5_2"))

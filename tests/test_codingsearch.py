@@ -21,6 +21,7 @@ from entcap.codingsearch import (
     _source_symbols,
     _tuple_reader,
     c1_exact,
+    counted_c1,
     diamond_c1,
     direct_c1,
     exhaustive_achievable,
@@ -674,6 +675,7 @@ class TestDiamondCount:
                 c1, witness = diamond_c1(net)
                 assert c1 == c1_exact(net, min_cut(net).value), (dims, middle)
                 assert witness.alphabet_size == c1 and is_valid(net, witness)
+                assert counted_c1(net) == (c1, witness)
 
     @pytest.mark.parametrize(
         "net",
@@ -697,6 +699,7 @@ class TestDiamondCount:
     )
     def test_none_off_the_shape(self, net):
         assert diamond_c1(net) is None
+        assert counted_c1(net) is None
 
     @pytest.mark.parametrize("l", [5, 6])
     def test_claim_status_matches_the_search(self, l):
@@ -772,6 +775,7 @@ class TestDirectCount:
             c1, witness = result
             assert c1 == min_cut(net).value == c1_exact(net, c1 + 1)
             assert witness.alphabet_size == c1 and is_valid(net, witness)
+            assert counted_c1(net) == (c1, witness)
             for l in range(1, c1 + 2):
                 assert _status(net, l) == exhaustive_achievable(net, SearchConfig(l)).status
         # 5, 9 and 7 acyclic sets of one, two and three arcs off s -> s2.
@@ -788,6 +792,7 @@ class TestDirectCount:
     )
     def test_none_off_the_shape(self, net):
         assert direct_c1(net) is None
+        assert counted_c1(net) is None
 
     def test_rows_past_the_cap_refused(self):
         with pytest.raises(TooLargeError, match="source rows"):
