@@ -195,6 +195,7 @@ def _assert_orderings(report: CapacityReport):
         (report.r1_lower <= report.q1_upper, "r1_lower <= R1 upper end"),
     ]
     for r in report.c1_results:
+        checks.append((r.c1 <= r.directed_mc, f"{r.name}: c1 <= directed mc"))
         checks.append((r.directed_mc <= report.mc, f"{r.name}: directed mc <= mc"))
     for ok, label in checks:
         if not ok:

@@ -132,30 +132,22 @@ def _vertex_key(vertex: str) -> int:
     return int.from_bytes(hashlib.sha256(vertex.encode("utf-8")).digest()[:8], "big")
 
 
-def _draw(shapes, field: PrimeField, seed: int) -> TensorAssignment:
-    """Uniform tensors of the given ``(vertex id, shape)`` pairs from a
-    PCG64 stream keyed by (seed, vertex id)."""
-    tensors = {}
-    for v, shape in shapes:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _vertex_key(v)])))
-        tensors[v] = rng.integers(0, field.p, size=shape, dtype=np.int64)
-    return TensorAssignment(field=field, tensors=tensors)
-
-
 def random_assignment(net: Network, field: PrimeField, seed: int) -> TensorAssignment:
-    """Uniform tensors from a PCG64 stream keyed by (seed, vertex id), with
-    the axes of :func:`_wiring`.
+    """Uniform tensors of the shapes in :func:`_plan_contraction`'s plan,
+    each from a PCG64 stream keyed by (seed, vertex id).
 
     Identical inputs reproduce identical assignments on any platform.
 
     Raises:
-        TooLargeError: a tensor would exceed ``MAX_ENTRIES``, checked
+        TooLargeError: a tensor, an intermediate or the boundary matrix
+            of :func:`contract` would exceed ``MAX_ENTRIES``, checked
             before any tensor is drawn.
     """
-    shapes = [(v, tuple(e.dim for e in axes)) for v, axes in _wiring(net)[0].items()]
-    for v, shape in shapes:
-        _check_entries(f"the tensor at {v!r}", prod(shape))
-    return _draw(shapes, field, seed)
+    tensors = {}
+    for v, shape, _ in _plan_contraction(net).vertices:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, _vertex_key(v)])))
+        tensors[v] = rng.integers(0, field.p, size=shape, dtype=np.int64)
+    return TensorAssignment(field=field, tensors=tensors)
 
 
 @dataclass(frozen=True)
@@ -246,8 +238,8 @@ def _plan_contraction(net: Network) -> _Plan:
 
     The plan is a pure function of the frozen network, and the last one
     is kept: back-to-back plans of an equal network, as
-    :func:`estimate_r1`'s guard and then each trial's :func:`contract`,
-    are made once.  ``__wrapped__`` is the unmemoized function.
+    :func:`estimate_r1`'s guard and then each trial's draw and
+    :func:`contract`, are made once.  ``__wrapped__`` is the unmemoized function.
     """
     axes_of, row_slots, col_slots = _wiring(net)
     rows = prod(e.dim for e in row_slots)
@@ -532,10 +524,10 @@ def estimate_r1(
     the kept one, so ``witness_seed`` is the first trial that reached the
     maximum, as it would be after every trial.
 
-    The guard's contraction plan is the one every trial's
-    :func:`contract` reuses (:func:`_plan_contraction` keeps the last plan),
-    and each trial draws the tensors of its shapes, as
-    :func:`random_assignment` would, without wiring the network again.
+    The guard's contraction plan is the one every trial reuses
+    (:func:`_plan_contraction` keeps the last plan): each trial draws
+    through :func:`random_assignment`, which reads it, and
+    :func:`contract` replays it.
 
     Raises:
         ValueError: ``trials`` is not from 1 to ``MAX_TRIALS``.
@@ -547,11 +539,10 @@ def estimate_r1(
     net = merge_stage_pairs(drop_orientations(net))
     mc = min_cut(net).value
     plan = _plan_contraction(net)
-    shapes = [(v, shape) for v, shape, _ in plan.vertices]
     best_rank, best_seed = -1, 0
     for t in range(trials):
         s = _trial_seed(seed, t)
-        r = rank_mod_p(contract(net, _draw(shapes, field, s)))
+        r = rank_mod_p(contract(net, random_assignment(net, field, s)))
         if r > best_rank:
             best_rank, best_seed = r, s
             if r == mc:

@@ -28,20 +28,34 @@ PER_LAYER = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(workloads.BUILDERS))
-def test_calls_answer_and_trace(workload):
+def _traced_pass(workload):
+    """One traced pass of ``workload``: its calls, their results and the
+    per-layer metrics."""
     calls = workloads.BUILDERS[workload](bench.ROOT, 1)
-    assert calls
     results = []
     with spans.Tracer() as tracer:
         for call in calls:
             with tracer.top(call):
                 results.append(call.run())
+    return calls, results, spans.layer_metrics(tracer.spans, workloads.variant_of)
+
+
+@pytest.mark.parametrize("workload", sorted(workloads.BUILDERS))
+def test_calls_answer_and_trace(workload):
+    calls, results, metrics = _traced_pass(workload)
+    assert calls
     for call, result in zip(calls, results):
         assert bench.check(call, result, call.expected) is None
-    metrics = spans.layer_metrics(tracer.spans, workloads.variant_of)
     # trace_overhead_frac compares traced with plain passes, not one trace.
     assert PER_LAYER - set(metrics) == {"trace_overhead_frac"}
+
+
+@pytest.mark.parametrize("workload", ["rank-powers", "reproduce"])
+def test_draws_are_traced(workload):
+    # Every rank estimate's trial draws through random_assignment, so the
+    # draws are booked to it, not to estimate_r1's own time.
+    _, _, metrics = _traced_pass(workload)
+    assert metrics["tnrank.random_assignment.self_s"] > 0
 
 
 #: Min-cuts each workload's pass computes, not counting those ``min_cut``

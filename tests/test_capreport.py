@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -440,6 +441,20 @@ class TestOrderings:
         # An exact R1 below the certified rank can only come from a bug.
         monkeypatch.setattr(capreport, "diamond_r1", lambda net: estimate_r1(net).r1_lower - 1)
         with pytest.raises(ReportInvariantError, match="r1_lower <= R1 upper end"):
+            bounds_report(fixture("n_d5_2"))
+
+    def test_c1_above_directed_mc_is_refused(self, monkeypatch):
+        # A count of 5 on d5=uv (directed MC 4) stays below q1_upper 6, so
+        # only the cut-set bound c1 <= directed MC can catch it.
+        def overshooting(net):
+            c1, witness = counted_c1(net)
+            d5 = next(e for e in net.edges if e.id == "d5")
+            return (5 if d5.orientation == "uv" else c1), witness
+
+        counted_c1 = codingsearch.counted_c1
+        monkeypatch.setattr(capreport, "counted_c1", overshooting)
+        variant = re.escape("orient[d1=uv,d2=uv,d3=uv,d4=uv,d5=uv]: c1 <= directed mc")
+        with pytest.raises(ReportInvariantError, match=variant):
             bounds_report(fixture("n_d5_2"))
 
     @pytest.mark.parametrize(

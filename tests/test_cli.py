@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -19,7 +20,7 @@ from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_tex
 from entcap.netmodel import Edge, dump_network, network, orient, tensor_power
 from entcap.reproduce import CLAIMS
 from entcap.transforms import SplitSpec, split_cycle_edge
-from networks import oriented_path
+from networks import GRID_2X2, GRID_2X3, oriented_path
 
 
 def _n_d5_4_two_sinks() -> str:
@@ -82,6 +83,8 @@ _EXTRA_FILES = {
     "snt_uv_dims_500_500": dump_network(oriented_path(500, 500)),
     "st_uv_dim_1000": dump_network(oriented_path(1000)),
     "path_150_dim_8": dump_network(oriented_path(*[8] * 150)),
+    "grid_2x2": dump_network(GRID_2X2),
+    "grid_2x3": dump_network(GRID_2X3),
 }
 
 
@@ -511,6 +514,27 @@ class TestBounds:
         variant = {"variant": "orient[e0=uv]", "directed_mc": 1000}
         assert obj["c1"] == [{**variant, "c1": 1000, "status": "exact"}]
         assert obj["q1"] == {"lower": 1000, "upper": 1000}
+
+
+    @pytest.mark.parametrize(
+        "name, rows, budget_rows, digest",
+        [
+            ("grid_2x2", 14, 4, "f4853fb06d3b6b7d5007d16e0de68ad23ff28cfedbe8ba4f3b100aee6ef62674"),
+            ("grid_2x3", 98, 6, "be0501142d36ea27b4163466f3c42c3994b11c89f5142798fe00db30240fd3d5"),
+        ],
+        ids=["grid_2x2", "grid_2x3"],
+    )
+    def test_grid_pinned(self, capsys, fixture_file, name, rows, budget_rows, digest):
+        # Pinned as they are, budget rows included: a change that settles
+        # a row changes this pin.
+        code, out, err = run(capsys, ["bounds", fixture_file(name), "--budget", "20000"])
+        assert (code, err) == (EXIT_OK, "")
+        obj = json.loads(out)
+        assert (obj["mc"], obj["r1"]["lower"], obj["r1"]["exact"]) == (15, 15, True)
+        assert obj["q1"] == {"lower": 12, "upper": 15}
+        assert len(obj["c1"]) == rows
+        assert sum(r["status"] == "budget_exceeded" for r in obj["c1"]) == budget_rows
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestBadArguments:

@@ -133,10 +133,39 @@ class TestRandomAssignment:
         assert random_assignment(net, PrimeField(), seed=0).tensors == {}
 
     def test_oversized_tensor_refused_before_drawing(self):
-        # n1's tensor would have 10^12 entries (7.28 TiB of int64).
-        net = path_network(10**6, 10**6)
-        with pytest.raises(TooLargeError, match="the tensor at 'n1'"):
-            random_assignment(net, PrimeField(), seed=0)
+        # n1's self-loop gives its tensor 10^12 entries (7.28 TiB of
+        # int64) and a 1 x 1 boundary matrix.
+        loop = network(
+            ["s", "n1", "t"],
+            [
+                Edge("e0", "s", "n1", 1),
+                Edge("e1", "n1", "t", 1),
+                Edge("loop", "n1", "n1", 10**6),
+            ],
+            ["s"],
+            ["t"],
+        )
+        # The draw takes the contraction's size guard, so a boundary
+        # matrix too large to rank is refused as well.
+        for net, what in [
+            (loop, "the tensor at 'n1'"),
+            (path_network(10**6, 10**6), "the boundary matrix would have 1000000000000 entries"),
+        ]:
+            with pytest.raises(TooLargeError, match=what):
+                random_assignment(net, PrimeField(), seed=0)
+
+    def test_every_trial_draws_through_random_assignment(self, monkeypatch):
+        seeds = []
+
+        def spying(net, field, seed):
+            seeds.append(seed)
+            return draw(net, field, seed)
+
+        draw = tnrank.random_assignment
+        monkeypatch.setattr(tnrank, "random_assignment", spying)
+        # fig2's R1 of 14 is below its MC of 15, so no trial stops the estimate.
+        estimate_r1(fixture("fig2_counterexample"), trials=5)
+        assert seeds == [_trial_seed(0, t) for t in range(5)]
 
 
 #: numpy promises the same ``Generator`` stream only within one version,
@@ -709,7 +738,8 @@ class TestPlanMemo:
         _plan_contraction.cache_clear()
         estimate_r1(fixture("fig2_counterexample"), trials=3)
         info = _plan_contraction.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        # Each of the three trials reads the plan to draw and to contract.
+        assert (info.misses, info.hits) == (1, 6)
 
     @pytest.mark.parametrize(
         "nets",
