@@ -119,14 +119,16 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     :func:`~entcap.codingsearch.counted_c1`, which re-checks the count's
     witness in full with ``is_valid``.  Every other variant's coding scan
     stops at its directed min-cut, which bounds c1 by the cut-set bound,
-    so a c1 reaching it needs no impossibility search.  The Q1 upper end
-    is the exact R1 of a diamond with d5 <= 2, and ``mc`` elsewhere.
+    so a c1 reaching it needs no impossibility search; the search
+    re-checks each witness it finds the same way.  The Q1 upper end is
+    the exact R1 of a diamond with d5 <= 2, and ``mc`` elsewhere.
 
     Raises:
         NetworkError: no orientation is acyclic and no split was given, so
             there is no variant to search.
-        ReportInvariantError: an ordering fails, or ``counted_c1`` rejects a
-            counted witness; the message names the variant and the count.
+        ReportInvariantError: an ordering fails, or a counted or searched
+            witness fails its re-check (``ProtocolError``); the message
+            names the variant and the witness.
     """
     est = estimate_r1(net, trials=options.rank_trials, seed=options.seed)
     mc = est.mc_upper
@@ -150,21 +152,17 @@ def bounds_report(net: Network, options: ReportOptions = ReportOptions()) -> Cap
     notes = []
     for name, variant in variants:
         directed_mc = min_cut(variant).value
+        status = "exact"
+        cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
         try:
             counted = counted_c1(variant)
+            c1 = c1_exact(variant, directed_mc, cfg) if counted is None else counted[0]
         except ProtocolError as exc:
             raise ReportInvariantError(f"{name}: {exc}") from exc
-        status = "exact"
-        if counted is not None:
-            c1 = counted[0]
-        else:
-            cfg = SearchConfig(alphabet_size=1, budget=options.coding_budget)
-            try:
-                c1 = c1_exact(variant, directed_mc, cfg)
-            except BudgetExceededError as exc:
-                c1 = exc.best_known
-                status = "budget_exceeded"
-                notes.append(f"{name}: coding search hit the budget; c1 is a lower bound")
+        except BudgetExceededError as exc:
+            c1 = exc.best_known
+            status = "budget_exceeded"
+            notes.append(f"{name}: coding search hit the budget; c1 is a lower bound")
         c1_results.append(C1Result(name=name, directed_mc=directed_mc, c1=c1, status=status))
         q1_lower = max(q1_lower, c1)
 

@@ -1,8 +1,11 @@
 """Command-line front end: batch computations on network JSON files.
 
-Exit codes: 0 success, 1 invariant or claim failure, 2 bad input,
-3 search budget exceeded.  All randomness flows from ``--seed``; given
-identical invocations the JSON output is byte-identical across machines.
+Exit codes: 0 success, 1 invariant or claim failure (a protocol that
+fails its ``is_valid`` re-check too), 2 bad input, 3 search budget
+exceeded.  Argument errors exit from the parser; every later failure is
+an exception that :func:`main` alone turns into its exit code and one
+``error:`` line.  All randomness flows from ``--seed``; given identical
+invocations the JSON output is byte-identical across machines.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from .capreport import ReportOptions, bounds_report, report_to_obj
 from .codingsearch import (
     BudgetExceededError,
     DEFAULT_BUDGET,
+    ProtocolError,
     SearchConfig,
     c1_exact,
     exhaustive_achievable,
@@ -40,7 +44,7 @@ def _emit(obj):
     try:
         text = json.dumps(obj, indent=2)
     except ValueError as exc:  # an integer too long to convert to decimal
-        raise _fail(EXIT_BAD_INPUT, f"error: cannot print the result: {exc}")
+        raise NetworkError(f"cannot print the result: {exc}") from exc
     print(text)
 
 
@@ -48,13 +52,8 @@ def _read_network(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return load_network(fh.read())
-    except (OSError, UnicodeDecodeError, NetworkError) as exc:
-        raise _fail(EXIT_BAD_INPUT, f"error: {exc}")
-
-
-def _fail(code, message):
-    print(message, file=sys.stderr)
-    return SystemExit(code)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise NetworkError(str(exc)) from exc
 
 
 def _int_in(low, high=math.inf):
@@ -137,7 +136,7 @@ def cmd_c1(args) -> int:
         return EXIT_OK
     result = exhaustive_achievable(net, cfg)
     if result.status == "budget_exceeded":
-        raise _fail(EXIT_BUDGET, "error: search budget exceeded")
+        raise BudgetExceededError("search budget exceeded")
     out = {
         "l": cfg.alphabet_size,
         "status": result.status,
@@ -156,10 +155,8 @@ def _check_power_digits(net, kind: str, n: int):
     dim = max((e.dim for e in net.edges), default=1)
     # Compares the int n with a float, which is exact and cannot overflow.
     if limit and dim > 1 and n > limit / math.log10(dim):
-        raise _fail(
-            EXIT_BAD_INPUT,
-            f"error: {kind}:{n} gives dimensions of more than {limit} digits, "
-            f"above the print limit",
+        raise NetworkError(
+            f"{kind}:{n} gives dimensions of more than {limit} digits, above the print limit"
         )
 
 
@@ -279,12 +276,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (ProtocolError, AssertionError) as exc:  # before its base, NetworkError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except NetworkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except AssertionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
 
 
 if __name__ == "__main__":

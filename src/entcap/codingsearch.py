@@ -48,9 +48,11 @@ On a directed diamond c1 has a closed form, and :func:`diamond_c1`
 counts it and builds a protocol that reaches it, with no search; on a
 network with no internal vertex, :func:`direct_c1` does.  The callers
 that want only the number (``bounds`` and the reproduction claims) take
-it from :func:`counted_c1`, which re-checks the count's whole witness; a
-new count is one more entry there.  :func:`exhaustive_achievable` and
-:func:`c1_exact` stay the plain search, and the tests hold the counts to it.
+it from :func:`counted_c1`; a new count is one more entry there.
+:func:`exhaustive_achievable` and :func:`c1_exact` stay the plain search,
+and the tests hold the counts to it.  Every protocol that
+:func:`counted_c1` or :func:`exhaustive_achievable` returns has passed
+:func:`is_valid`; one that fails raises :class:`ProtocolError`.
 """
 
 from __future__ import annotations
@@ -328,6 +330,17 @@ def is_valid(net: Network, pt: ProtocolTable) -> bool:
     return len(tuples) == pt.alphabet_size
 
 
+def _recheck(net: Network, pt: ProtocolTable, what: str):
+    """Raise :class:`ProtocolError` unless :func:`is_valid` accepts ``pt``."""
+    error = f"the {what} witness is not valid"
+    try:
+        valid = is_valid(net, pt)
+    except ProtocolError as exc:
+        raise ProtocolError(f"{error}: {exc}") from exc
+    if not valid:
+        raise ProtocolError(error)
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive search
 # ---------------------------------------------------------------------------
@@ -505,8 +518,12 @@ def exhaustive_achievable(net: Network, cfg: SearchConfig) -> SearchResult:
     product of the source out-edge alphabets, the encoder is pinned to
     the canonical bijection: its rows must be distinct, and the
     message-order break admits only the increasing run of all of them.
+    A witness that :func:`is_valid` rejects raises :class:`ProtocolError`.
     """
-    return _Searcher(net, cfg).run()
+    result = _Searcher(net, cfg).run()
+    if result.status == "witness":
+        _recheck(net, result.witness, "searched")
+    return result
 
 
 def c1_exact(net: Network, l_max: int, cfg: SearchConfig | None = None) -> int:
@@ -655,13 +672,7 @@ def counted_c1(net: Network) -> tuple[int, ProtocolTable] | None:
     for kind, count in _COUNTS:
         counted = count(net)
         if counted is not None:
-            error = f"the counted {kind} witness is not valid"
-            try:
-                valid = is_valid(net, counted[1])
-            except ProtocolError as exc:
-                raise ProtocolError(f"{error}: {exc}") from exc
-            if not valid:
-                raise ProtocolError(error)
+            _recheck(net, counted[1], f"counted {kind}")
             return counted
     return None
 

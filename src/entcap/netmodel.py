@@ -521,7 +521,7 @@ def dump_network(net: Network) -> str:
 def load_network(text: str) -> Network:
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, a too-long int, deep nesting
         raise NetworkError(f"invalid JSON: {exc}") from exc
     return network_from_obj(obj)
 

@@ -53,21 +53,19 @@ class ClaimResult:
 
 def _status(net, l) -> str:
     """Whether alphabet size ``l`` is achievable: ``witness`` or
-    ``impossible``, or ``invalid witness`` when :func:`is_valid` rejects
-    the protocol found.  A network that a count covers is answered from
-    :func:`counted_c1`, whose witness is re-checked in full at every ``l``:
-    ``impossible`` above its c1, else ``witness``.  Any other network is
-    searched."""
+    ``impossible``, or ``invalid witness`` when the protocol found fails
+    its re-check (:class:`ProtocolError`).  A network that a count covers
+    is answered from :func:`counted_c1`, whose witness is re-checked in
+    full at every ``l``: ``impossible`` above its c1, else ``witness``.
+    Any other network is searched, and :func:`exhaustive_achievable`
+    re-checks the witness it returns."""
     try:
         counted = counted_c1(net)
+        if counted is not None:
+            return "witness" if l <= counted[0] else "impossible"
+        return exhaustive_achievable(net, SearchConfig(alphabet_size=l)).status
     except ProtocolError:
         return "invalid witness"
-    if counted is not None:
-        return "witness" if l <= counted[0] else "impossible"
-    res = exhaustive_achievable(net, SearchConfig(alphabet_size=l))
-    if res.status == "witness" and not is_valid(net, res.witness):
-        return "invalid witness"
-    return res.status
 
 
 def _claim_mincut_exactness(seed):

@@ -143,6 +143,13 @@ class TestBoundsReport:
         with pytest.raises(ReportInvariantError, match="counted direct witness"):
             bounds_report(path_network(5))
 
+    def test_searched_witness_rechecked(self, monkeypatch):
+        monkeypatch.setattr(codingsearch, "is_valid", lambda net, pt: False)
+        with pytest.raises(
+            ReportInvariantError, match=re.escape("orient[]: the searched witness is not valid")
+        ):
+            bounds_report(fixture("n2_up"))
+
     @pytest.mark.parametrize(
         "net",
         [

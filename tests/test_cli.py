@@ -15,6 +15,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from entcap import codingsearch
 from entcap.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_FAIL, EXIT_OK, build_parser, main
 from entcap.fixtures import FIXTURE_NAMES, diamond_network, fixture, fixture_text, path_network
 from entcap.netmodel import Edge, dump_network, network, orient, tensor_power
@@ -128,6 +129,8 @@ MALFORMED_FILES = {
         "-1", "9" * 5001
     ),
     "not-utf8": b"\xff\xfe" + fixture_text("path_2_3").encode("utf-16-le"),
+    "nested-array-100000": "[" * 100_000,
+    "nested-object-100000": '{"a":' * 100_000,
 }
 
 #: Every subcommand that reads a network file, with arguments it accepts.
@@ -409,6 +412,28 @@ class TestC1:
         code, _, err = run(capsys, ["c1", fixture_file("n_d5_2"), "--l", "2"])
         assert code == EXIT_BAD_INPUT
         assert "undirected" in err
+
+
+class TestRejectedWitness:
+    """A witness that fails its ``is_valid`` re-check exits 1 with one line."""
+
+    @pytest.mark.parametrize(
+        "command, name, args",
+        [
+            ("c1", "n2_up", "--l 5"),
+            ("c1", "n2_up", "--exact-up-to 8"),
+            ("bounds", "path_3_3", ""),
+        ],
+    )
+    def test_exit_1_with_one_error_line(
+        self, capsys, fixture_file, monkeypatch, command, name, args
+    ):
+        monkeypatch.setattr(codingsearch, "is_valid", lambda net, pt: False)
+        code, out, err = run(capsys, [command, fixture_file(name), *args.split()])
+        assert code == EXIT_FAIL
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "searched witness is not valid" in err
 
 
 class TestTransform:

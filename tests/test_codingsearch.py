@@ -572,6 +572,49 @@ class TestC1Exact:
         assert searched == [4, 1, 2, 3]
 
 
+class TestSearchRecheck:
+    """:func:`exhaustive_achievable` re-checks every witness it returns."""
+
+    def test_each_witness_checked_once(self, monkeypatch):
+        calls = []
+
+        def spy(net, pt):
+            calls.append(pt)
+            return is_valid(net, pt)
+
+        monkeypatch.setattr(codingsearch, "is_valid", spy)
+        net = fixture("n2_up")
+        cases = [(5, 10**9, "witness"), (6, 10**9, "impossible"), (7, 10**9, "impossible"),
+                 (5, 10, "budget_exceeded")]
+        for l, budget, status in cases:
+            calls.clear()
+            result = exhaustive_achievable(net, SearchConfig(alphabet_size=l, budget=budget))
+            assert result.status == status, l
+            assert calls == ([result.witness] if status == "witness" else []), l
+
+    def test_rejected_witness_raises(self, monkeypatch):
+        monkeypatch.setattr(codingsearch, "is_valid", lambda net, pt: False)
+        with pytest.raises(ProtocolError, match="^the searched witness is not valid$"):
+            exhaustive_achievable(fixture("n2_up"), SearchConfig(alphabet_size=5))
+        with pytest.raises(ProtocolError, match="searched witness"):
+            c1_exact(fixture("n2_up"), 8)
+
+    def test_malformed_witness_carries_the_reason(self, monkeypatch):
+        build = _Searcher._build_witness
+
+        def drop_row(self):
+            pt = build(self)
+            tables = {**pt.node_functions, "n1_late": pt.node_functions["n1_late"][:-1]}
+            return replace(pt, node_functions=tables)
+
+        monkeypatch.setattr(_Searcher, "_build_witness", drop_row)
+        with pytest.raises(
+            ProtocolError,
+            match=r"^the searched witness is not valid: table at 'n1_late' has 3 rows, expected 4$",
+        ):
+            exhaustive_achievable(fixture("n2_up"), SearchConfig(alphabet_size=5))
+
+
 class TestMemos:
     def test_search_then_is_valid_compiles_once(self):
         net = fixture("n4_split_2x2")
@@ -579,7 +622,8 @@ class TestMemos:
         result = exhaustive_achievable(net, SearchConfig(alphabet_size=6))
         assert is_valid(net, result.witness)
         info = _compile.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        # The search's own re-check reads the kept plan, then this is_valid.
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_memoized_plan_matches_unmemoized(self):
         for _, net in CORPUS:

@@ -644,6 +644,12 @@ class TestJson:
         with pytest.raises(NetworkError, match="missing network field"):
             load_network(json.dumps(obj))
 
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["array", "object"])
+    def test_deep_nesting_rejected(self, text):
+        # json.loads raises RecursionError here, not ValueError.
+        with pytest.raises(NetworkError, match="^invalid JSON: "):
+            load_network(text)
+
     def test_stage_pairs_roundtrip(self):
         text = fixture_text("n4_split_2x2")
         net = load_network(text)

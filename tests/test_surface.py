@@ -9,6 +9,9 @@ module, elsewhere in the defining module, or in a ``perfbench/`` or
 ``scripts/`` file.  Tests do not count, nor does text inside strings:
 a helper that only a test calls belongs in the tests, and a knob that
 only a test turns has one sound value.
+
+A last guard keeps ``cli.py`` to one exit path: after parsing, every
+exit code is ``main``'s return value.
 """
 
 import ast
@@ -214,3 +217,44 @@ def unset_knobs():
 def test_every_knob_is_set():
     culprits = unset_knobs()
     assert not culprits, "defaulted but never set outside tests: " + ", ".join(culprits)
+
+
+#: The only places ``cli.py`` may end the process itself, by enclosing
+#: scope: argparse's error exit, and the script entry point.
+EXITS_ALLOWED = [("_Parser.error", "self.exit"), ("__main__", "sys.exit")]
+
+
+def _exit_sites(tree):
+    """(enclosing scope, text) for each reference to ``SystemExit`` and each
+    ``exit(...)``, ``quit(...)`` or ``.exit(...)`` call in ``tree``.  The
+    scope is the dotted class and function path, or ``__main__`` inside
+    the ``if __name__ == "__main__"`` block."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.If) and ast.unparse(child.test) == "__name__ == '__main__'":
+                inner = ("__main__",)
+            if isinstance(child, ast.Name) and child.id == "SystemExit":
+                sites.append((".".join(inner), "SystemExit"))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr == "exit") or (
+                    isinstance(func, ast.Name) and func.id in ("exit", "quit")
+                ):
+                    sites.append((".".join(inner), ast.unparse(func)))
+            visit(child, inner)
+
+    visit(tree, ())
+    return sites
+
+
+def test_cli_has_one_exit_path():
+    # After parsing, every exit code is main's return value.
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert _exit_sites(tree) == EXITS_ALLOWED
+    (entry,) = [n for n in tree.body if isinstance(n, ast.If)]
+    assert [ast.unparse(n) for n in entry.body] == ["sys.exit(main())"]
